@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet fmt-check test race fuzz fuzz-smoke bench bench-smoke bench-writes bench-htap bench-joins docs-lint serve-smoke lint staticcheck govulncheck ci
+.PHONY: all build vet fmt-check test test-shuffle race fuzz fuzz-smoke bench bench-smoke bench-writes bench-htap bench-joins docs-lint serve-smoke lint staticcheck govulncheck ci
 
 all: build test
 
@@ -24,13 +24,18 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# Every test twice, in a random order per package: catches tests that
+# depend on run order or on state a previous test left behind.
+test-shuffle:
+	$(GO) test -count=2 -shuffle=on ./...
+
 # Race-detector pass over the concurrency-sensitive packages: the parallel
 # execution layer, the evolution algorithms that fan out over it, the
-# engine's atomic catalog publication (now including background segment
-# merges racing flushes), the DML delta overlay (lazy flush caching racing
-# concurrent readers), the segmented persistence layer, the SMO parser the
-# WAL replays through, the public facade (lock-free reads vs Exec, plus
-# the segmented-vs-rebuild property test), and the HTTP serving layer.
+# engine's atomic catalog publication, the DML delta overlay (lazy flush
+# caching racing concurrent readers), the segmented persistence layer, the
+# SMO parser the WAL replays through, the public facade (lock-free reads
+# vs Exec, plus the segmented-vs-rebuild property test), and the HTTP
+# serving layer.
 race:
 	$(GO) test -race cods cods/internal/par cods/internal/evolve \
 		cods/internal/wah cods/internal/colstore cods/internal/colquery \
@@ -108,4 +113,4 @@ bench-htap:
 bench-joins:
 	sh scripts/bench_joins.sh
 
-ci: build vet fmt-check lint staticcheck govulncheck test docs-lint serve-smoke race fuzz-smoke bench bench-smoke bench-writes bench-htap bench-joins
+ci: build vet fmt-check lint staticcheck govulncheck test test-shuffle docs-lint serve-smoke race fuzz-smoke bench bench-smoke bench-writes bench-htap bench-joins

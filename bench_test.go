@@ -800,7 +800,7 @@ func BenchmarkJoinDecomposedVsScan(b *testing.B) {
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rs, err := plan.Run(resolve, m.q, nil)
+				rs, err := plan.Run(resolve, m.q)
 				if err != nil {
 					b.Fatal(err)
 				}

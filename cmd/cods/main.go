@@ -8,8 +8,7 @@
 //	cods [-dir dbdir] [-validate] [-quiet] [script.smo ...]
 //	cods serve [-addr :8344] [-dir dbdir] [-max-inflight N]
 //	           [-parallelism N] [-retain N] [-autocompact N]
-//	           [-merge-ratio N] [-background-merge] [-rebuild-evolve]
-//	           [-quiet]
+//	           [-merge-ratio N] [-quiet]
 //
 // With script arguments, each file is executed and the process exits;
 // otherwise an interactive prompt starts. Type \help at the prompt for the
@@ -131,8 +130,6 @@ func runServe(args []string) error {
 	retain := fs.Int("retain", 0, "rollback-able previous schema versions kept after each statement (0 = all)")
 	autoCompact := fs.Int("autocompact", 0, "compact a table's delta overlay once it holds this many pending rows (0 = only at checkpoints)")
 	mergeRatio := fs.Int("merge-ratio", 0, "tiered segment-merge size ratio (0 = default 2, negative = never merge)")
-	bgMerge := fs.Bool("background-merge", false, "run tiered segment merges on a background goroutine instead of inline")
-	rebuildEvolve := fs.Bool("rebuild-evolve", false, "run evolutions with the monolithic pre-segmentation algorithms (correctness oracle; slower)")
 	quiet := fs.Bool("quiet", false, "suppress the per-request log")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,7 +139,7 @@ func runServe(args []string) error {
 	logger := log.New(os.Stderr, "cods-serve ", log.LstdFlags)
 	cfg := cods.Config{
 		Parallelism: *parallelism, RetainVersions: *retain, AutoCompactPending: *autoCompact,
-		SegmentMergeRatio: *mergeRatio, BackgroundMerge: *bgMerge, RebuildEvolve: *rebuildEvolve,
+		SegmentMergeRatio: *mergeRatio,
 	}
 	var db *cods.DB
 	var err error

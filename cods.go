@@ -3,7 +3,6 @@ package cods
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -93,10 +92,6 @@ type Config struct {
 	// per-table segment counts logarithmic. 0 means the default ratio
 	// (2); negative disables merging.
 	SegmentMergeRatio int
-	// BackgroundMerge runs tiered segment merges on a background
-	// goroutine instead of inline on the write path. Merges publish
-	// through the usual atomic catalog swap, so readers never block.
-	BackgroundMerge bool
 	// RebuildOnFlush makes every overlay flush rebuild its table as one
 	// monolithic segment — the pre-segmentation write path, kept as a
 	// correctness oracle and benchmark baseline. Leave it off.
@@ -143,21 +138,17 @@ type DB struct {
 	dir       string
 	wal       *storage.WAL
 	walBroken bool
-	// plans memoizes join-query plan shapes across snapshots; keys carry
-	// the catalog version, so evolutions invalidate naturally.
-	plans *plan.Cache
 }
 
 // Open creates an empty in-memory database.
 func Open(cfg Config) *DB {
-	return &DB{plans: plan.NewCache(0), engine: core.New(core.Config{
+	return &DB{engine: core.New(core.Config{
 		Parallelism:        cfg.Parallelism,
 		ValidateFD:         cfg.ValidateFD,
 		Status:             cfg.Status,
 		RetainVersions:     cfg.RetainVersions,
 		AutoCompactPending: cfg.AutoCompactPending,
 		SegmentMergeRatio:  cfg.SegmentMergeRatio,
-		BackgroundMerge:    cfg.BackgroundMerge,
 		RebuildFlush:       cfg.RebuildOnFlush,
 		RebuildEvolve:      cfg.RebuildEvolve,
 	}), cfg: cfg}
@@ -384,8 +375,8 @@ type MemStats struct {
 	// Compactions counts overlay compactions (explicit, checkpoint, or
 	// automatic) since the database opened.
 	Compactions uint64
-	// SegmentMerges counts tiered segment merges (inline and background,
-	// after flushes and after evolutions) since the database opened.
+	// SegmentMerges counts tiered segment merges (after flushes and after
+	// evolutions) since the database opened.
 	SegmentMerges uint64
 	// Tables holds per-table segment-layout gauges, sorted by table
 	// name. A segment count that keeps growing means the merge policy is
@@ -431,10 +422,6 @@ func (db *DB) MemStats() MemStats {
 // catalog-changing calls fail with ErrClosed; reads keep working on the
 // in-memory catalog. Close on an in-memory database is a no-op.
 func (db *DB) Close() error {
-	// Join in-flight background segment merges first: they publish through
-	// the engine and must not race the process teardown that usually
-	// follows Close.
-	db.engine.WaitBackgroundMerges()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.wal == nil {
@@ -446,10 +433,11 @@ func (db *DB) Close() error {
 	return err
 }
 
-// WaitBackgroundMerges blocks until every scheduled background segment
-// merge (Config.BackgroundMerge) has completed or aborted. Tests and
-// benchmarks use it to reach a deterministic segment layout.
-func (db *DB) WaitBackgroundMerges() { db.engine.WaitBackgroundMerges() }
+// WaitBackgroundMerges returns immediately: segment merges always run
+// inline on the write path, so none is ever pending.
+//
+// Deprecated: there are no background merges to wait for.
+func (db *DB) WaitBackgroundMerges() {}
 
 // Snapshot is an immutable, lock-free view of the database at one schema
 // version. Every DB read method is equivalent to a one-shot call on a
@@ -459,9 +447,8 @@ func (db *DB) WaitBackgroundMerges() { db.engine.WaitBackgroundMerges() }
 // indefinitely — tables are immutable — it just stops reflecting catalog
 // changes made after it was taken.
 type Snapshot struct {
-	cat   *core.Catalog
-	cfg   Config
-	plans *plan.Cache
+	cat *core.Catalog
+	cfg Config
 }
 
 // Snapshot returns the current published catalog version. It never
@@ -469,7 +456,7 @@ type Snapshot struct {
 // committed version.
 // cods:lockfree
 func (db *DB) Snapshot() *Snapshot {
-	return &Snapshot{cat: db.engine.Catalog(), cfg: db.cfg, plans: db.plans}
+	return &Snapshot{cat: db.engine.Catalog(), cfg: db.cfg}
 }
 
 // Version returns the snapshot's schema version.
@@ -577,7 +564,7 @@ func (s *Snapshot) Count(table, condition string) (uint64, error) {
 // concurrently. Join queries go through the planner (internal/plan):
 // single-table WHERE conjuncts are pushed into bitmap scans, joins are
 // reordered by estimated cardinality, shared join keys are pre-reduced
-// by a WAH semi-join, and the plan shape is cached across calls.
+// by a WAH semi-join.
 func (s *Snapshot) RunQuery(table string, q TableQuery) (*ResultSet, error) {
 	pq := plan.Query{
 		Select:      q.Select,
@@ -588,7 +575,6 @@ func (s *Snapshot) RunQuery(table string, q TableQuery) (*ResultSet, error) {
 		Desc:        q.Desc,
 		Limit:       q.Limit,
 		Parallelism: s.cfg.Parallelism,
-		Epoch:       strconv.Itoa(s.cat.Version()),
 	}
 	for _, j := range q.Joins {
 		pq.Joins = append(pq.Joins, plan.Join{Table: j.Table, On: j.On})
@@ -600,7 +586,7 @@ func (s *Snapshot) RunQuery(table string, q TableQuery) (*ResultSet, error) {
 		}
 		pq.Aggregates = append(pq.Aggregates, colquery.Agg{Func: f, Column: a.Column, As: a.As})
 	}
-	rs, err := plan.Run(s.cat.Table, pq, s.plans)
+	rs, err := plan.Run(s.cat.Table, pq)
 	if err != nil {
 		return nil, err
 	}
@@ -990,7 +976,8 @@ func (db *DB) HasTable(name string) bool {
 // ColumnInfo describes one column of a table, including the planner's
 // cardinality statistics (colstore.Column.Stats).
 type ColumnInfo struct {
-	Name            string
+	Name string
+	// Encoding names the column's physical encoding; always "bitmap".
 	Encoding        string
 	DistinctValues  int
 	CompressedBytes uint64

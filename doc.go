@@ -75,10 +75,7 @@
 // for tables produced by DECOMPOSE — the probe side is pre-reduced by a
 // WAH semi-join mask, so rows that cannot join are never decoded.
 // Predicates that genuinely span tables stay as a residual filter above
-// the join. Plan shapes (the statement with literals stripped, plus the
-// schema version) are memoized in a small LRU cache on the DB, so a
-// repeated query shape skips pushdown analysis and join ordering;
-// evolutions invalidate by construction because the version changes.
+// the join.
 //
 // Semantically, SELECT over a join is the inverse of DECOMPOSE: joining
 // the decomposition back on its shared key returns exactly the rows of
@@ -96,9 +93,8 @@
 // O(tail) work however large the table is, where the old monolithic
 // rebuild was O(table). A tiered merge policy folds small tail segments
 // together to keep the segment count logarithmic: Config.SegmentMergeRatio
-// tunes it (0 means the default ratio 2, negative disables merging) and
-// Config.BackgroundMerge moves the fold off the writer lock, splicing
-// the merged run back only if no concurrent change invalidated it.
+// tunes it (0 means the default ratio 2, negative disables merging); the
+// fold runs inline on the write path, before the change is published.
 // Config.RebuildOnFlush restores the monolithic rebuild — kept as the
 // oracle for the segmented-vs-rebuild property test and as the
 // superlinear baseline in the huge-table write benchmark. Durable

@@ -149,7 +149,7 @@ func RunJoins(cfg JoinConfig) (*JoinResult, error) {
 	for i, e := range queries {
 		e.q.Parallelism = cfg.Parallelism
 		start := time.Now()
-		rs, err := plan.Run(resolve, e.q, nil)
+		rs, err := plan.Run(resolve, e.q)
 		elapsed := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.mode, err)

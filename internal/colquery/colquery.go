@@ -138,9 +138,8 @@ func whereMask(t *colstore.Table, where string, parallelism int) (*wah.Bitmap, e
 	return pred.EvalP(t, parallelism)
 }
 
-// resolveAggColumns bitmap-encodes each aggregated column once up front, so
-// per-group aggregation never repeats the (potentially O(rows), for RLE
-// columns) conversion inside a fan-out.
+// resolveAggColumns looks up each aggregated column once up front, so
+// per-group aggregation never repeats the lookup inside a fan-out.
 func resolveAggColumns(t *colstore.Table, aggs []Agg) (map[string]*colstore.Column, error) {
 	cols := make(map[string]*colstore.Column)
 	for _, a := range aggs {
@@ -151,7 +150,7 @@ func resolveAggColumns(t *colstore.Table, aggs []Agg) (map[string]*colstore.Colu
 		if err != nil {
 			return nil, err
 		}
-		cols[a.Column] = col.ToBitmapEncoding()
+		cols[a.Column] = col
 	}
 	return cols, nil
 }
@@ -187,19 +186,18 @@ func runGrouped(t *colstore.Table, q Query, mask *wah.Bitmap) (*ResultSet, error
 	if err != nil {
 		return nil, err
 	}
-	gb := gcol.ToBitmapEncoding()
 	cols, err := resolveAggColumns(t, q.Aggregates)
 	if err != nil {
 		return nil, err
 	}
 	rs := &ResultSet{Columns: append([]string{q.GroupBy}, aggColumns(q.Aggregates)...)}
-	rows := make([][]string, gb.DistinctCount())
-	if err := par.ForEachErr(gb.DistinctCount(), q.Parallelism, func(id int) error {
-		gm := wah.And(gb.BitmapForID(uint32(id)), mask)
+	rows := make([][]string, gcol.DistinctCount())
+	if err := par.ForEachErr(gcol.DistinctCount(), q.Parallelism, func(id int) error {
+		gm := wah.And(gcol.BitmapForID(uint32(id)), mask)
 		if !gm.Any() {
 			return nil
 		}
-		row := []string{gb.Dict().Value(uint32(id))}
+		row := []string{gcol.Dict().Value(uint32(id))}
 		for _, a := range q.Aggregates {
 			// Serial per-value aggregation: the group fan-out above already
 			// occupies the worker budget.

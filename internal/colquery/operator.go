@@ -394,16 +394,14 @@ func sameDict(a, b *dict.Dict) bool {
 // the columns share dictionary lineage), and one compressed OR fan-in
 // over the matching fact bitmaps. No row is ever decoded.
 func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism int) *wah.Bitmap {
-	fb := fact.ToBitmapEncoding()
-	db := dim.ToBitmapEncoding()
-	occupied := par.Map(db.DistinctCount(), parallelism, func(id int) bool {
-		bm := db.BitmapForID(uint32(id))
+	occupied := par.Map(dim.DistinctCount(), parallelism, func(id int) bool {
+		bm := dim.BitmapForID(uint32(id))
 		if dimMask != nil {
 			return wah.And(bm, dimMask).Any()
 		}
 		return bm.Any()
 	})
-	shared := sameDict(fb.Dict(), db.Dict())
+	shared := sameDict(fact.Dict(), dim.Dict())
 	var maps []*wah.Bitmap
 	for id, occ := range occupied {
 		if !occ {
@@ -411,12 +409,12 @@ func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism i
 		}
 		fid := uint32(id)
 		if !shared {
-			fid = fb.Dict().Lookup(db.Dict().Value(uint32(id)))
+			fid = fact.Dict().Lookup(dim.Dict().Value(uint32(id)))
 			if fid == dict.NoID {
 				continue
 			}
 		}
-		maps = append(maps, fb.BitmapForID(fid))
+		maps = append(maps, fact.BitmapForID(fid))
 	}
 	if len(maps) == 0 {
 		out := wah.New()

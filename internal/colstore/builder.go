@@ -5,7 +5,6 @@ import (
 
 	"cods/internal/dict"
 	"cods/internal/par"
-	"cods/internal/rle"
 	"cods/internal/wah"
 )
 
@@ -86,7 +85,7 @@ func (b *ColumnBuilder) Finish() *Column {
 		outDict.Intern(b.dict.Value(uint32(id)))
 		outBitmaps = append(outBitmaps, bm)
 	}
-	return &Column{name: b.name, enc: EncodingBitmap, dict: outDict, bitmaps: outBitmaps, nrows: b.nrows}
+	return &Column{name: b.name, dict: outDict, bitmaps: outBitmaps, nrows: b.nrows}
 }
 
 // NewColumnFromValues builds a bitmap column from explicit row values.
@@ -120,7 +119,7 @@ func NewColumnFromBitmaps(name string, values []string, bitmaps []*wah.Bitmap, n
 		bm.Extend(nrows)
 		out = append(out, bm)
 	}
-	return &Column{name: name, enc: EncodingBitmap, dict: d, bitmaps: out, nrows: nrows}, nil
+	return &Column{name: name, dict: d, bitmaps: out, nrows: nrows}, nil
 }
 
 // NewColumnSharingDict assembles a column from per-value bitmaps that
@@ -143,18 +142,7 @@ func NewColumnSharingDict(name string, d *dict.Dict, bitmaps []*wah.Bitmap, nrow
 		}
 		bm.Extend(nrows)
 	}
-	return &Column{name: name, enc: EncodingBitmap, dict: d, bitmaps: bitmaps, nrows: nrows}, nil
-}
-
-// NewRLEColumn builds an RLE-encoded column from row values, typically a
-// sorted column.
-func NewRLEColumn(name string, values []string) *Column {
-	d := dict.New()
-	runs := &rle.Column{}
-	for _, v := range values {
-		runs.Append(d.Intern(v), 1)
-	}
-	return &Column{name: name, enc: EncodingRLE, dict: d, runs: runs, nrows: runs.Len()}
+	return &Column{name: name, dict: d, bitmaps: bitmaps, nrows: nrows}, nil
 }
 
 // TableBuilder constructs a table by appending whole rows.

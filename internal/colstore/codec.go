@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"cods/internal/dict"
-	"cods/internal/rle"
 	"cods/internal/wah"
 )
 
@@ -16,12 +15,11 @@ var columnMagic = [8]byte{'C', 'O', 'D', 'S', 'C', 'O', 'L', '1'}
 // WriteTo writes the column in its binary on-disk format:
 //
 //	[8]  magic "CODSCOL1"
-//	u8   encoding (0 bitmap, 1 rle)
+//	u8   encoding (0 bitmap; 1 was rle, no longer read)
 //	u64  row count
 //	u32  name length, name bytes
 //	dict (see dict.WriteTo)
-//	bitmap encoding: u32 bitmap count, bitmaps (see wah.WriteTo)
-//	rle encoding:    runs (see rle.WriteTo)
+//	u32  bitmap count, bitmaps (see wah.WriteTo)
 func (c *Column) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	n, err := w.Write(columnMagic[:])
@@ -30,7 +28,7 @@ func (c *Column) WriteTo(w io.Writer) (int64, error) {
 		return total, err
 	}
 	hdr := make([]byte, 0, 13+len(c.name))
-	hdr = append(hdr, byte(c.enc))
+	hdr = append(hdr, byte(EncodingBitmap))
 	hdr = binary.LittleEndian.AppendUint64(hdr, c.nrows)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(c.name)))
 	hdr = append(hdr, c.name...)
@@ -44,24 +42,15 @@ func (c *Column) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return total, err
 	}
-	switch c.enc {
-	case EncodingBitmap:
-		var cnt [4]byte
-		binary.LittleEndian.PutUint32(cnt[:], uint32(len(c.bitmaps)))
-		n, err = w.Write(cnt[:])
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-		for _, bm := range c.bitmaps {
-			m, err = bm.WriteTo(w)
-			total += m
-			if err != nil {
-				return total, err
-			}
-		}
-	case EncodingRLE:
-		m, err = c.runs.WriteTo(w)
+	var cnt [4]byte
+	binary.LittleEndian.PutUint32(cnt[:], uint32(len(c.bitmaps)))
+	n, err = w.Write(cnt[:])
+	total += int64(n)
+	if err != nil {
+		return total, err
+	}
+	for _, bm := range c.bitmaps {
+		m, err = bm.WriteTo(w)
 		total += m
 		if err != nil {
 			return total, err
@@ -83,7 +72,9 @@ func ReadColumn(r io.Reader) (*Column, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("colstore: reading column header: %w", err)
 	}
-	enc := Encoding(hdr[0])
+	if enc := Encoding(hdr[0]); enc != EncodingBitmap {
+		return nil, fmt.Errorf("colstore: unsupported column encoding %d", int(enc))
+	}
 	nrows := binary.LittleEndian.Uint64(hdr[1:9])
 	nameLen := binary.LittleEndian.Uint32(hdr[9:13])
 	nameBuf := make([]byte, nameLen)
@@ -94,32 +85,22 @@ func ReadColumn(r io.Reader) (*Column, error) {
 	if _, err := d.ReadFrom(r); err != nil {
 		return nil, err
 	}
-	c := &Column{name: string(nameBuf), enc: enc, dict: d, nrows: nrows}
-	switch enc {
-	case EncodingBitmap:
-		var cnt [4]byte
-		if _, err := io.ReadFull(r, cnt[:]); err != nil {
-			return nil, fmt.Errorf("colstore: reading bitmap count: %w", err)
+	c := &Column{name: string(nameBuf), dict: d, nrows: nrows}
+	var cnt [4]byte
+	if _, err := io.ReadFull(r, cnt[:]); err != nil {
+		return nil, fmt.Errorf("colstore: reading bitmap count: %w", err)
+	}
+	nbm := binary.LittleEndian.Uint32(cnt[:])
+	if int(nbm) != d.Len() {
+		return nil, fmt.Errorf("colstore: column %q has %d bitmaps for %d values", c.name, nbm, d.Len())
+	}
+	c.bitmaps = make([]*wah.Bitmap, nbm)
+	for i := range c.bitmaps {
+		bm := wah.New()
+		if _, err := bm.ReadFrom(r); err != nil {
+			return nil, fmt.Errorf("colstore: column %q bitmap %d: %w", c.name, i, err)
 		}
-		nbm := binary.LittleEndian.Uint32(cnt[:])
-		if int(nbm) != d.Len() {
-			return nil, fmt.Errorf("colstore: column %q has %d bitmaps for %d values", c.name, nbm, d.Len())
-		}
-		c.bitmaps = make([]*wah.Bitmap, nbm)
-		for i := range c.bitmaps {
-			bm := wah.New()
-			if _, err := bm.ReadFrom(r); err != nil {
-				return nil, fmt.Errorf("colstore: column %q bitmap %d: %w", c.name, i, err)
-			}
-			c.bitmaps[i] = bm
-		}
-	case EncodingRLE:
-		c.runs = &rle.Column{}
-		if _, err := c.runs.ReadFrom(r); err != nil {
-			return nil, fmt.Errorf("colstore: column %q runs: %w", c.name, err)
-		}
-	default:
-		return nil, fmt.Errorf("colstore: unknown encoding %d", enc)
+		c.bitmaps[i] = bm
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

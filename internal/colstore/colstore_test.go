@@ -147,11 +147,6 @@ func TestRangeScan(t *testing.T) {
 	if got := names.RangeScan("b", "cz").Count(); got != 2 {
 		t.Errorf("lexicographic range: count=%d want 2", got)
 	}
-	// RLE columns take the same path via conversion.
-	rl := NewRLEColumn("S", []string{"10", "10", "20", "30"})
-	if got := rl.RangeScan("10", "20").Count(); got != 3 {
-		t.Errorf("rle range: count=%d want 3", got)
-	}
 }
 
 func TestRowIDsMatchValues(t *testing.T) {
@@ -307,36 +302,6 @@ func TestValidateKey(t *testing.T) {
 	dup, _ := tb2.Finish()
 	if err := dup.ValidateKey(); err == nil {
 		t.Fatal("duplicate key should fail validation")
-	}
-}
-
-func TestRLEConversionRoundTrip(t *testing.T) {
-	values := []string{"a", "a", "a", "b", "b", "c", "a", "a"}
-	bm := NewColumnFromValues("X", values)
-	rl := bm.ToRLEEncoding()
-	if rl.Encoding() != EncodingRLE {
-		t.Fatal("not RLE encoded")
-	}
-	back := rl.ToBitmapEncoding()
-	for i := range values {
-		v1, _ := rl.ValueAt(uint64(i))
-		v2, _ := back.ValueAt(uint64(i))
-		if v1 != values[i] || v2 != values[i] {
-			t.Fatalf("row %d: rle=%q bitmap=%q want %q", i, v1, v2, values[i])
-		}
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// EqScan agrees across encodings.
-	if !wah.Equal(rl.EqScan("a"), bm.EqScan("a")) {
-		t.Fatal("EqScan differs between encodings")
-	}
-	if !wah.Equal(rl.ScanWhere(func(v string) bool { return v >= "b" }), bm.ScanWhere(func(v string) bool { return v >= "b" })) {
-		t.Fatal("ScanWhere differs between encodings")
 	}
 }
 
@@ -508,38 +473,33 @@ func TestRowsHugeLimit(t *testing.T) {
 	}
 }
 
-// TestRowIDRange checks the paged decode against the full decode on both
-// encodings, including empty and clamped ranges.
+// TestRowIDRange checks the paged decode against the full decode,
+// including empty and clamped ranges.
 func TestRowIDRange(t *testing.T) {
 	tab := figure1R(t)
-	for _, enc := range []string{"bitmap", "rle"} {
-		for i := 0; i < tab.NumColumns(); i++ {
-			col := tab.ColumnAt(i)
-			if enc == "rle" {
-				col = col.ToRLEEncoding()
-			}
-			full := col.RowIDs()
-			n := col.NumRows()
-			for start := uint64(0); start <= n; start++ {
-				for end := start; end <= n+2; end++ {
-					got := col.RowIDRange(start, end)
-					wantEnd := end
-					if wantEnd > n {
-						wantEnd = n
+	for i := 0; i < tab.NumColumns(); i++ {
+		col := tab.ColumnAt(i)
+		full := col.RowIDs()
+		n := col.NumRows()
+		for start := uint64(0); start <= n; start++ {
+			for end := start; end <= n+2; end++ {
+				got := col.RowIDRange(start, end)
+				wantEnd := end
+				if wantEnd > n {
+					wantEnd = n
+				}
+				if start >= wantEnd {
+					if len(got) != 0 {
+						t.Fatalf("%q [%d,%d): got %d ids, want 0", col.Name(), start, end, len(got))
 					}
-					if start >= wantEnd {
-						if len(got) != 0 {
-							t.Fatalf("%s %q [%d,%d): got %d ids, want 0", enc, col.Name(), start, end, len(got))
-						}
-						continue
-					}
-					if uint64(len(got)) != wantEnd-start {
-						t.Fatalf("%s %q [%d,%d): got %d ids, want %d", enc, col.Name(), start, end, len(got), wantEnd-start)
-					}
-					for j, id := range got {
-						if id != full[start+uint64(j)] {
-							t.Fatalf("%s %q [%d,%d): id[%d] = %d, want %d", enc, col.Name(), start, end, j, id, full[start+uint64(j)])
-						}
+					continue
+				}
+				if uint64(len(got)) != wantEnd-start {
+					t.Fatalf("%q [%d,%d): got %d ids, want %d", col.Name(), start, end, len(got), wantEnd-start)
+				}
+				for j, id := range got {
+					if id != full[start+uint64(j)] {
+						t.Fatalf("%q [%d,%d): id[%d] = %d, want %d", col.Name(), start, end, j, id, full[start+uint64(j)])
 					}
 				}
 			}

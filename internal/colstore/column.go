@@ -38,31 +38,21 @@ import (
 
 	"cods/internal/dict"
 	"cods/internal/par"
-	"cods/internal/rle"
 	"cods/internal/wah"
 )
 
 // Encoding identifies the physical representation of a column.
 type Encoding int
 
-const (
-	// EncodingBitmap stores one WAH bitmap per distinct value. It is the
-	// universal encoding used by all evolution algorithms.
-	EncodingBitmap Encoding = iota
-	// EncodingRLE stores the column as run-length-encoded value ids,
-	// appropriate for sorted columns (§2.2).
-	EncodingRLE
-)
+// EncodingBitmap stores one WAH bitmap per distinct value — the only
+// encoding, used by every evolution algorithm and query path.
+const EncodingBitmap Encoding = 0
 
 func (e Encoding) String() string {
-	switch e {
-	case EncodingBitmap:
+	if e == EncodingBitmap {
 		return "bitmap"
-	case EncodingRLE:
-		return "rle"
-	default:
-		return fmt.Sprintf("Encoding(%d)", int(e))
 	}
+	return fmt.Sprintf("Encoding(%d)", int(e))
 }
 
 // Column is one attribute of a table. Immutable after construction
@@ -71,18 +61,16 @@ func (e Encoding) String() string {
 // cods:immutable
 type Column struct {
 	name    string
-	enc     Encoding
 	dict    *dict.Dict
-	bitmaps []*wah.Bitmap // EncodingBitmap: indexed by value id
-	runs    *rle.Column   // EncodingRLE
+	bitmaps []*wah.Bitmap // indexed by value id
 	nrows   uint64
 }
 
 // Name returns the column's attribute name.
 func (c *Column) Name() string { return c.name }
 
-// Encoding returns the physical encoding.
-func (c *Column) Encoding() Encoding { return c.enc }
+// Encoding returns the physical encoding, always EncodingBitmap.
+func (c *Column) Encoding() Encoding { return EncodingBitmap }
 
 // NumRows returns the number of rows the column covers.
 func (c *Column) NumRows() uint64 { return c.nrows }
@@ -104,15 +92,13 @@ func (c *Column) Renamed(name string) *Column {
 }
 
 // BitmapForID returns the bitmap of the value with the given dictionary
-// id. The column must use EncodingBitmap. The returned bitmap is shared;
-// callers must not mutate it.
+// id. The returned bitmap is shared; callers must not mutate it.
 func (c *Column) BitmapForID(id uint32) *wah.Bitmap {
 	return c.bitmaps[id]
 }
 
 // BitmapFor returns the bitmap of rows holding the given value, or an
-// all-zeros bitmap when the value does not occur. The column must use
-// EncodingBitmap.
+// all-zeros bitmap when the value does not occur.
 func (c *Column) BitmapFor(value string) *wah.Bitmap {
 	if id := c.dict.Lookup(value); id != dict.NoID {
 		return c.bitmaps[id]
@@ -128,17 +114,12 @@ func (c *Column) BitmapFor(value string) *wah.Bitmap {
 // to rebuild indexes.
 func (c *Column) RowIDs() []uint32 {
 	out := make([]uint32, c.nrows)
-	switch c.enc {
-	case EncodingBitmap:
-		for id, bm := range c.bitmaps {
-			id32 := uint32(id)
-			bm.Ones(func(p uint64) bool {
-				out[p] = id32
-				return true
-			})
-		}
-	case EncodingRLE:
-		out = c.runs.AppendIDsTo(out[:0])
+	for id, bm := range c.bitmaps {
+		id32 := uint32(id)
+		bm.Ones(func(p uint64) bool {
+			out[p] = id32
+			return true
+		})
 	}
 	return out
 }
@@ -146,10 +127,9 @@ func (c *Column) RowIDs() []uint32 {
 // RowIDRange materializes value ids for the rows [start, end) only, the
 // page-sized counterpart of RowIDs: the allocation is proportional to the
 // page, and decoding stops at end instead of walking every set bit, so
-// early pages over a big table cost O(end), not O(table). Bitmap columns
-// still scan compressed words from row 0 up to end (WAH has no
-// position index to seek by), so a page deep in the table costs O(end)
-// per column; RLE columns skip whole runs before start.
+// early pages over a big table cost O(end), not O(table). Decoding still
+// scans compressed words from row 0 up to end (WAH has no position index
+// to seek by), so a page deep in the table costs O(end) per column.
 func (c *Column) RowIDRange(start, end uint64) []uint32 {
 	if end > c.nrows {
 		end = c.nrows
@@ -158,86 +138,40 @@ func (c *Column) RowIDRange(start, end uint64) []uint32 {
 		return nil
 	}
 	out := make([]uint32, end-start)
-	switch c.enc {
-	case EncodingBitmap:
-		for id, bm := range c.bitmaps {
-			id32 := uint32(id)
-			bm.Ones(func(p uint64) bool {
-				if p >= end {
-					return false
-				}
-				if p >= start {
-					out[p-start] = id32
-				}
-				return true
-			})
-		}
-	case EncodingRLE:
-		var pos uint64
-		for _, r := range c.runs.Runs() {
-			runEnd := pos + r.Count
-			if runEnd > start {
-				lo, hi := max(pos, start), min(runEnd, end)
-				for p := lo; p < hi; p++ {
-					out[p-start] = r.ID
-				}
+	for id, bm := range c.bitmaps {
+		id32 := uint32(id)
+		bm.Ones(func(p uint64) bool {
+			if p >= end {
+				return false
 			}
-			pos = runEnd
-			if pos >= end {
-				break
+			if p >= start {
+				out[p-start] = id32
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
 
 // ValueAt returns the value stored at the given row. Cost is O(distinct ·
-// words) for bitmap columns; intended for display and tests, not bulk
-// access (use RowIDs).
+// words); intended for display and tests, not bulk access (use RowIDs).
 func (c *Column) ValueAt(row uint64) (string, error) {
 	if row >= c.nrows {
 		return "", fmt.Errorf("colstore: row %d out of range in column %q (%d rows)", row, c.name, c.nrows)
 	}
-	switch c.enc {
-	case EncodingBitmap:
-		for id, bm := range c.bitmaps {
-			if bm.Get(row) {
-				return c.dict.Value(uint32(id)), nil
-			}
+	for id, bm := range c.bitmaps {
+		if bm.Get(row) {
+			return c.dict.Value(uint32(id)), nil
 		}
-		return "", fmt.Errorf("colstore: column %q has no value at row %d", c.name, row)
-	case EncodingRLE:
-		id, err := c.runs.Get(row)
-		if err != nil {
-			return "", err
-		}
-		return c.dict.Value(id), nil
 	}
-	return "", fmt.Errorf("colstore: unknown encoding %v", c.enc)
+	return "", fmt.Errorf("colstore: column %q has no value at row %d", c.name, row)
 }
 
 // EqScan returns the bitmap of rows where the column equals value.
 func (c *Column) EqScan(value string) *wah.Bitmap {
-	switch c.enc {
-	case EncodingBitmap:
-		bm := c.BitmapFor(value).Clone()
-		bm.Extend(c.nrows)
-		return bm
-	case EncodingRLE:
-		id := c.dict.Lookup(value)
-		out := wah.New()
-		var pos uint64
-		for _, r := range c.runs.Runs() {
-			if r.ID == id {
-				out.Extend(pos)
-				out.AppendRun(1, r.Count)
-			}
-			pos += r.Count
-		}
-		out.Extend(c.nrows)
-		return out
-	}
-	panic("colstore: unknown encoding")
+	bm := c.BitmapFor(value).Clone()
+	bm.Extend(c.nrows)
+	return bm
 }
 
 // ScanWhere returns the bitmap of rows whose value satisfies pred. The
@@ -252,136 +186,60 @@ func (c *Column) ScanWhere(pred func(value string) bool) *wah.Bitmap {
 // bitmaps are OR-accumulated with a parallel tree merge. pred must be safe
 // for concurrent calls; parallelism <= 0 means GOMAXPROCS.
 func (c *Column) ScanWhereP(pred func(value string) bool, parallelism int) *wah.Bitmap {
-	switch c.enc {
-	case EncodingBitmap:
-		match := make([]bool, len(c.bitmaps))
-		par.ForEachIndexed(len(c.bitmaps), parallelism, func(id int) {
-			match[id] = pred(c.dict.Value(uint32(id)))
-		})
-		var selected []*wah.Bitmap
-		for id, m := range match {
-			if m {
-				selected = append(selected, c.bitmaps[id])
-			}
+	match := make([]bool, len(c.bitmaps))
+	par.ForEachIndexed(len(c.bitmaps), parallelism, func(id int) {
+		match[id] = pred(c.dict.Value(uint32(id)))
+	})
+	var selected []*wah.Bitmap
+	for id, m := range match {
+		if m {
+			selected = append(selected, c.bitmaps[id])
 		}
-		out := wah.OrAllP(selected, parallelism)
-		out.Extend(c.nrows)
-		return out
-	case EncodingRLE:
-		// The per-value predicate map fans out; the run scan that follows
-		// is inherently sequential (appends must be in row order).
-		match := make([]bool, c.dict.Len())
-		par.ForEachIndexed(c.dict.Len(), parallelism, func(id int) {
-			match[id] = pred(c.dict.Value(uint32(id)))
-		})
-		out := wah.New()
-		for _, r := range c.runs.Runs() {
-			if match[r.ID] {
-				out.AppendRun(1, r.Count)
-			} else {
-				out.AppendRun(0, r.Count)
-			}
-		}
-		return out
 	}
-	panic("colstore: unknown encoding")
+	out := wah.OrAllP(selected, parallelism)
+	out.Extend(c.nrows)
+	return out
 }
 
 // Validate checks the column's structural invariants: every row has
 // exactly one value (per-value bitmaps are disjoint and complete) and the
 // dictionary matches the bitmap set.
 func (c *Column) Validate() error {
-	switch c.enc {
-	case EncodingBitmap:
-		if len(c.bitmaps) != c.dict.Len() {
-			return fmt.Errorf("colstore: column %q has %d bitmaps for %d dictionary entries", c.name, len(c.bitmaps), c.dict.Len())
-		}
-		var total uint64
-		for id, bm := range c.bitmaps {
-			if err := bm.Validate(); err != nil {
-				return fmt.Errorf("colstore: column %q value %d: %w", c.name, id, err)
-			}
-			if bm.Len() > c.nrows {
-				return fmt.Errorf("colstore: column %q value %d bitmap longer than table (%d > %d)", c.name, id, bm.Len(), c.nrows)
-			}
-			total += bm.Count()
-		}
-		if total != c.nrows {
-			return fmt.Errorf("colstore: column %q bitmaps cover %d rows, table has %d", c.name, total, c.nrows)
-		}
-		// Disjointness: pairwise ANDs would be quadratic; OR counting is
-		// equivalent given the total matches.
-		all := make([]*wah.Bitmap, len(c.bitmaps))
-		copy(all, c.bitmaps)
-		if got := wah.OrAll(all).Count(); got != c.nrows {
-			return fmt.Errorf("colstore: column %q bitmaps overlap (union %d != %d rows)", c.name, got, c.nrows)
-		}
-		return nil
-	case EncodingRLE:
-		if c.runs.Len() != c.nrows {
-			return fmt.Errorf("colstore: column %q RLE covers %d rows, table has %d", c.name, c.runs.Len(), c.nrows)
-		}
-		for _, r := range c.runs.Runs() {
-			if int(r.ID) >= c.dict.Len() {
-				return fmt.Errorf("colstore: column %q RLE references id %d beyond dictionary (%d)", c.name, r.ID, c.dict.Len())
-			}
-		}
-		return nil
+	if len(c.bitmaps) != c.dict.Len() {
+		return fmt.Errorf("colstore: column %q has %d bitmaps for %d dictionary entries", c.name, len(c.bitmaps), c.dict.Len())
 	}
-	return fmt.Errorf("colstore: unknown encoding %v", c.enc)
+	var total uint64
+	for id, bm := range c.bitmaps {
+		if err := bm.Validate(); err != nil {
+			return fmt.Errorf("colstore: column %q value %d: %w", c.name, id, err)
+		}
+		if bm.Len() > c.nrows {
+			return fmt.Errorf("colstore: column %q value %d bitmap longer than table (%d > %d)", c.name, id, bm.Len(), c.nrows)
+		}
+		total += bm.Count()
+	}
+	if total != c.nrows {
+		return fmt.Errorf("colstore: column %q bitmaps cover %d rows, table has %d", c.name, total, c.nrows)
+	}
+	// Disjointness: pairwise ANDs would be quadratic; OR counting is
+	// equivalent given the total matches.
+	all := make([]*wah.Bitmap, len(c.bitmaps))
+	copy(all, c.bitmaps)
+	if got := wah.OrAll(all).Count(); got != c.nrows {
+		return fmt.Errorf("colstore: column %q bitmaps overlap (union %d != %d rows)", c.name, got, c.nrows)
+	}
+	return nil
 }
 
 // CompressedSizeBytes returns the approximate storage footprint of the
-// column's compressed data (bitmaps or runs, excluding the dictionary).
+// column's compressed bitmaps (excluding the dictionary).
 func (c *Column) CompressedSizeBytes() uint64 {
-	switch c.enc {
-	case EncodingBitmap:
-		var total uint64
-		for _, bm := range c.bitmaps {
-			total += bm.SizeBytes()
-		}
-		return total
-	case EncodingRLE:
-		return uint64(c.runs.NumRuns()) * 12
+	var total uint64
+	for _, bm := range c.bitmaps {
+		total += bm.SizeBytes()
 	}
-	return 0
+	return total
 }
-
-// ToBitmapEncoding returns a bitmap-encoded equivalent of the column. For
-// columns already bitmap-encoded it returns the receiver.
-func (c *Column) ToBitmapEncoding() *Column {
-	if c.enc == EncodingBitmap {
-		return c
-	}
-	bitmaps := make([]*wah.Bitmap, c.dict.Len())
-	for i := range bitmaps {
-		bitmaps[i] = wah.New()
-	}
-	var pos uint64
-	for _, r := range c.runs.Runs() {
-		bm := bitmaps[r.ID]
-		bm.Extend(pos)
-		bm.AppendRun(1, r.Count)
-		pos += r.Count
-	}
-	for _, bm := range bitmaps {
-		bm.Extend(c.nrows)
-	}
-	return &Column{name: c.name, enc: EncodingBitmap, dict: c.dict.Clone(), bitmaps: bitmaps, nrows: c.nrows}
-}
-
-// ToRLEEncoding returns an RLE-encoded equivalent of the column. Most
-// effective when the column is sorted; correct regardless.
-func (c *Column) ToRLEEncoding() *Column {
-	if c.enc == EncodingRLE {
-		return c
-	}
-	runs := rle.FromIDs(c.RowIDs())
-	return &Column{name: c.name, enc: EncodingRLE, dict: c.dict.Clone(), runs: runs, nrows: c.nrows}
-}
-
-// RLERuns exposes the run column for RLE-encoded columns; nil otherwise.
-func (c *Column) RLERuns() *rle.Column { return c.runs }
 
 // CompareValues totally orders two column values: -1, 0 or 1 as a sorts
 // before, equal to, or after b. Values that parse as 64-bit integers
@@ -432,10 +290,9 @@ func (c *Column) RangeScan(lo, hi string) *wah.Bitmap {
 		out.Extend(c.nrows)
 		return out
 	}
-	bc := c.ToBitmapEncoding()
 	selected := make([]*wah.Bitmap, 0, end-start)
 	for _, id := range ids[start:end] {
-		selected = append(selected, bc.bitmaps[id])
+		selected = append(selected, c.bitmaps[id])
 	}
 	out := wah.OrAll(selected)
 	out.Extend(c.nrows)

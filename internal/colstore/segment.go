@@ -153,12 +153,11 @@ func (s *Segment) filterP(mask *wah.Bitmap, parallelism int) (*Segment, error) {
 	nrows := uint64(len(positions))
 	cols := make([]*Column, len(s.cols))
 	for i, c := range s.cols {
-		bc := c.ToBitmapEncoding()
-		values := make([]string, bc.DistinctCount())
-		bitmaps := make([]*wah.Bitmap, bc.DistinctCount())
-		par.ForEachIndexed(bc.DistinctCount(), parallelism, func(id int) {
-			values[id] = bc.dict.Value(uint32(id))
-			bitmaps[id] = wah.FilterPositions(bc.bitmaps[id], positions)
+		values := make([]string, c.DistinctCount())
+		bitmaps := make([]*wah.Bitmap, c.DistinctCount())
+		par.ForEachIndexed(c.DistinctCount(), parallelism, func(id int) {
+			values[id] = c.dict.Value(uint32(id))
+			bitmaps[id] = wah.FilterPositions(c.bitmaps[id], positions)
 		})
 		nc, err := NewColumnFromBitmaps(c.Name(), values, bitmaps, nrows)
 		if err != nil {
@@ -175,20 +174,19 @@ func (s *Segment) filterP(mask *wah.Bitmap, parallelism int) (*Segment, error) {
 // newly built whole-table column (e.g. ADD COLUMN's filler) along the
 // existing segment boundaries.
 func sliceColumn(c *Column, start, end uint64) *Column {
-	bc := c.ToBitmapEncoding()
 	n := end - start
 	d := dict.New()
 	var bitmaps []*wah.Bitmap
-	for id, bm := range bc.bitmaps {
+	for id, bm := range c.bitmaps {
 		part := bm.Slice(start, end)
 		if !part.Any() {
 			continue
 		}
 		part.Extend(n)
-		d.Intern(bc.dict.Value(uint32(id)))
+		d.Intern(c.dict.Value(uint32(id)))
 		bitmaps = append(bitmaps, part)
 	}
-	return &Column{name: c.name, enc: EncodingBitmap, dict: d, bitmaps: bitmaps, nrows: n}
+	return &Column{name: c.name, dict: d, bitmaps: bitmaps, nrows: n}
 }
 
 // mergeColumn builds the single column at schema position ci spanning
@@ -206,12 +204,12 @@ func mergeColumn(segs []*Segment, ci int, nrows uint64) *Column {
 	var bitmaps []*wah.Bitmap
 	var off uint64
 	for _, s := range segs {
-		bc := s.cols[ci].ToBitmapEncoding()
-		mapping := bc.RemapInto(d)
+		c := s.cols[ci]
+		mapping := c.RemapInto(d)
 		for int(d.Len()) > len(bitmaps) {
 			bitmaps = append(bitmaps, wah.New())
 		}
-		for id, bm := range bc.bitmaps {
+		for id, bm := range c.bitmaps {
 			dst := bitmaps[mapping[id]]
 			dst.Extend(off)
 			dst.Concat(bm)
@@ -221,7 +219,7 @@ func mergeColumn(segs []*Segment, ci int, nrows uint64) *Column {
 	for _, bm := range bitmaps {
 		bm.Extend(nrows)
 	}
-	return &Column{name: segs[0].cols[ci].name, enc: EncodingBitmap, dict: d, bitmaps: bitmaps, nrows: nrows}
+	return &Column{name: segs[0].cols[ci].name, dict: d, bitmaps: bitmaps, nrows: nrows}
 }
 
 // MergeSegments merges a run of schema-identical segments into one, the

@@ -230,11 +230,10 @@ func (t *Table) WithTailSegment(seg *Segment) (*Table, error) {
 
 // WithSegmentsReplaced splices merged over the run t.segs[start:start+
 // len(verify)], provided that run is still pointer-identical to verify —
-// the check that lets a background merge, computed against an older table
-// version, publish against the current one only when the segments it read
-// are still exactly the ones in place. Returns ok=false (and the receiver)
-// when the run has changed or is out of range. merged must cover the same
-// rows as the run it replaces.
+// the check that a merge computed against the segments it read publishes
+// only while those segments are still the ones in place. Returns ok=false
+// (and the receiver) when the run has changed or is out of range. merged
+// must cover the same rows as the run it replaces.
 func (t *Table) WithSegmentsReplaced(start int, verify []*Segment, merged *Segment) (*Table, bool) {
 	if start < 0 || len(verify) == 0 || start+len(verify) > len(t.segs) {
 		return t, false

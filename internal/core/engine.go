@@ -58,13 +58,6 @@ type Config struct {
 	// (2); negative disables merging, letting flush-sealed tail segments
 	// accumulate.
 	SegmentMergeRatio int
-	// BackgroundMerge moves tiered segment merges off the write path onto
-	// a goroutine: the merge reads immutable segments without any lock and
-	// publishes through the usual atomic catalog swap, but only after
-	// verifying (pointer identity) that the segments it merged are still
-	// exactly the ones in the current base — a concurrent flush or
-	// evolution makes it a silent no-op, retried after the next flush.
-	BackgroundMerge bool
 	// RebuildFlush makes every overlay flush rebuild its table as one
 	// monolithic segment — the pre-segmentation write path, kept as the
 	// property-test oracle and the benchmark baseline.
@@ -128,11 +121,8 @@ type Engine struct {
 	retained       atomic.Int64
 	oldestGauge    atomic.Int64
 	compactions    atomic.Uint64
-	// mergeWG tracks in-flight background segment merges (see
-	// Config.BackgroundMerge); WaitBackgroundMerges joins them.
-	mergeWG sync.WaitGroup
-	merges  atomic.Uint64
-	cfg     Config
+	merges         atomic.Uint64
+	cfg            Config
 }
 
 // Catalog is an immutable view of the engine at one schema version: the
@@ -535,8 +525,8 @@ func (e *Engine) wrapOne(t *colstore.Table) *delta.Overlay {
 // wrapEvolved boxes segment-mapped evolution outputs, first running each
 // through the tiered merge policy: operators emit one output segment per
 // contributing input segment, so without this an evolution chain would
-// balloon the segment count. The same policy (and the same background
-// mode) as post-flush merging applies.
+// balloon the segment count. The same policy as post-flush merging
+// applies.
 func (e *Engine) wrapEvolved(ts ...*colstore.Table) ([]*delta.Overlay, error) {
 	out := make([]*delta.Overlay, len(ts))
 	for i, t := range ts {
@@ -550,74 +540,24 @@ func (e *Engine) wrapEvolved(ts ...*colstore.Table) ([]*delta.Overlay, error) {
 }
 
 // mergeAfterFlush applies the tiered merge policy to a freshly flushed
-// table. In the default synchronous mode the merge runs inline and the
-// merged table is returned; with BackgroundMerge the merge is scheduled
-// on a goroutine (publishing later through the usual catalog swap) and t
-// is returned unchanged.
+// table, running the merge inline and returning the merged table.
 func (e *Engine) mergeAfterFlush(t *colstore.Table) (*colstore.Table, error) {
 	ratio, ok := e.cfg.mergeRatio()
 	if !ok || t.NumSegments() < 2 {
 		return t, nil
 	}
-	if !e.cfg.BackgroundMerge {
-		nt, err := t.CompactSegments(ratio, e.cfg.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		if nt != t {
-			e.merges.Add(1)
-		}
-		return nt, nil
+	nt, err := t.CompactSegments(ratio, e.cfg.Parallelism)
+	if err != nil {
+		return nil, err
 	}
-	segs := t.Segments()
-	start := colstore.MergeTailPlan(t.SegmentRows(), ratio)
-	if start >= len(segs) {
-		return t, nil
-	}
-	run, name := segs[start:], t.Name()
-	e.mergeWG.Add(1)
-	go func() {
-		defer e.mergeWG.Done()
-		// The run's segments are immutable, so the merge itself runs
-		// without any lock; only the splice below needs the writer mutex.
-		merged, err := colstore.MergeSegments(run, e.cfg.Parallelism)
-		if err != nil {
-			return
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		ov, ok := e.tables[name]
-		if !ok {
-			return
-		}
-		base, ok := ov.Base().WithSegmentsReplaced(start, run, merged)
-		if !ok {
-			// The base changed while we merged (another flush, an
-			// evolution, a rollback): drop this merge — the policy re-fires
-			// after the table's next flush.
-			return
-		}
-		nov, err := ov.WithBase(base)
-		if err != nil {
-			return
-		}
-		e.tables[name] = nov
+	if nt != t {
 		e.merges.Add(1)
-		// Republish the same version: row sets are identical, only the
-		// physical segmentation changed — the same contract as Compact.
-		e.snapshot()
-	}()
-	return t, nil
+	}
+	return nt, nil
 }
 
-// WaitBackgroundMerges blocks until every scheduled background segment
-// merge has completed or aborted. Callers that need a deterministic
-// segment layout (tests, shutdown) join here; it must be called without
-// holding the writer mutex.
-func (e *Engine) WaitBackgroundMerges() { e.mergeWG.Wait() }
-
 // SegmentMerges reports how many tiered segment merges have been applied
-// (inline or background) since the engine started.
+// since the engine started.
 func (e *Engine) SegmentMerges() uint64 { return e.merges.Load() }
 
 // Compact replaces every dirty overlay of the current version with its

@@ -77,26 +77,6 @@ func TestRebuildFlushKeepsSingleSegment(t *testing.T) {
 	assertRContent(t, e, 7+50)
 }
 
-func TestBackgroundMergeConverges(t *testing.T) {
-	e := New(Config{BackgroundMerge: true})
-	seedR(t, e)
-	for b := 0; b < 12; b++ {
-		insertBatch(t, e, b*10, 10)
-	}
-	e.WaitBackgroundMerges()
-	if e.SegmentMerges() == 0 {
-		t.Fatal("no background merges applied")
-	}
-	// Background merges that lost the race to a newer flush no-op, so the
-	// final count may exceed the sync bound, but the last merge (nothing
-	// racing it) must have landed.
-	base := baseR(t, e)
-	if n := base.NumSegments(); n > 7 {
-		t.Fatalf("segments=%d after background merging settled", n)
-	}
-	assertRContent(t, e, 7+120)
-}
-
 // seedR registers the 7-row employee table as R.
 func seedR(t *testing.T, e *Engine) {
 	t.Helper()

@@ -87,7 +87,7 @@ type MemStats struct {
 	// Compactions counts overlay compactions since the engine started.
 	Compactions uint64
 	// SegmentMerges counts tiered segment merges since the engine started
-	// (inline and background, post-flush and post-evolution).
+	// (post-flush and post-evolution).
 	SegmentMerges uint64
 	// Tables holds per-table segment gauges for the published catalog,
 	// sorted by table name.

@@ -131,24 +131,6 @@ func (o *Overlay) WithRebuildFlush(on bool) *Overlay {
 // rebuild.
 func (o *Overlay) RebuildFlush() bool { return o.rebuild }
 
-// WithBase returns an overlay carrying this overlay's DML state over a
-// replacement base covering exactly the same rows in the same order — the
-// splice a background segment merge performs. The deletion bitmap,
-// appended tail and arena stay valid because merges preserve global row
-// positions.
-func (o *Overlay) WithBase(base *colstore.Table) (*Overlay, error) {
-	if base.NumRows() != o.base.NumRows() {
-		return nil, fmt.Errorf("delta: replacement base for %s has %d rows, overlay base has %d",
-			o.Name(), base.NumRows(), o.base.NumRows())
-	}
-	return &Overlay{
-		base: base, byName: o.byName,
-		added: o.added, ar: o.ar,
-		deleted: o.deleted, nDeleted: o.nDeleted,
-		parallelism: o.parallelism, rebuild: o.rebuild,
-	}, nil
-}
-
 // WithName returns an overlay over the same DML state with the base
 // renamed. Rename is metadata-only on a column store, so the appended
 // tail, deletion bitmap and append arena carry forward untouched — the
@@ -900,7 +882,7 @@ func (o *Overlay) flushRebuild() (*colstore.Table, error) {
 	ncols := o.base.NumColumns()
 	cols := make([]*colstore.Column, ncols)
 	if err := par.ForEachErr(ncols, o.parallelism, func(ci int) error {
-		src := o.base.ColumnAt(ci).ToBitmapEncoding()
+		src := o.base.ColumnAt(ci)
 		b := colstore.NewColumnBuilderWithDict(src.Name(), src.Dict())
 		ids := src.RowIDs()
 		for r, id := range ids {

@@ -159,15 +159,14 @@ func distinction(r *colstore.Table, columns []string, opt Options) (positions []
 		if err != nil {
 			return nil, nil, err
 		}
-		bc := col.ToBitmapEncoding()
-		n := bc.DistinctCount()
+		n := col.DistinctCount()
 		type rep struct {
 			pos uint64
 			id  uint32
 		}
 		reps := make([]rep, n)
 		if err := opt.forEachErr(n, func(id int) error {
-			p, ok := bc.BitmapForID(uint32(id)).FirstOne()
+			p, ok := col.BitmapForID(uint32(id)).FirstOne()
 			if !ok {
 				return fmt.Errorf("evolve: column %q value id %d has an empty bitmap", columns[0], id)
 			}
@@ -220,31 +219,30 @@ func filterColumns(r *colstore.Table, name string, columns []string, positions [
 		if err != nil {
 			return nil, err
 		}
-		bc := col.ToBitmapEncoding()
 		if keyIDsByRank != nil && len(key) == 1 && cn == key[0] {
 			// Key column fast path: every value survives with exactly one
 			// row, whose output position is its representative's rank.
 			// Build each single-bit vector directly and share the
 			// dictionary — no filtering, no re-interning.
-			bitmaps := make([]*wah.Bitmap, bc.DistinctCount())
+			bitmaps := make([]*wah.Bitmap, col.DistinctCount())
 			for rank, id := range keyIDsByRank {
 				bm := wah.New()
 				bm.Add(uint64(rank))
 				bitmaps[id] = bm
 			}
-			nc, err := colstore.NewColumnSharingDict(col.Name(), bc.Dict(), bitmaps, nrows)
+			nc, err := colstore.NewColumnSharingDict(col.Name(), col.Dict(), bitmaps, nrows)
 			if err != nil {
 				return nil, err
 			}
 			outCols[ci] = nc
 			continue
 		}
-		n := bc.DistinctCount()
+		n := col.DistinctCount()
 		values := make([]string, n)
 		bitmaps := make([]*wah.Bitmap, n)
 		opt.forEach(n, func(id int) {
-			values[id] = bc.Dict().Value(uint32(id))
-			bitmaps[id] = wah.FilterPositions(bc.BitmapForID(uint32(id)), positions)
+			values[id] = col.Dict().Value(uint32(id))
+			bitmaps[id] = wah.FilterPositions(col.BitmapForID(uint32(id)), positions)
 		})
 		nc, err := colstore.NewColumnFromBitmaps(col.Name(), values, bitmaps, nrows)
 		if err != nil {
@@ -284,19 +282,18 @@ func decomposeDedup(r *colstore.Table, name string, columns, common []string, op
 			if err != nil {
 				return err
 			}
-			bc := col.ToBitmapEncoding()
-			n := bc.DistinctCount()
+			n := col.DistinctCount()
 			type rep struct {
 				pos uint64
 				v   string
 			}
 			local := make([]rep, n)
 			for id := 0; id < n; id++ {
-				p, ok := bc.BitmapForID(uint32(id)).FirstOne()
+				p, ok := col.BitmapForID(uint32(id)).FirstOne()
 				if !ok {
 					return fmt.Errorf("evolve: column %q value id %d has an empty bitmap", common[0], id)
 				}
-				local[id] = rep{pos: p, v: bc.Dict().Value(uint32(id))}
+				local[id] = rep{pos: p, v: col.Dict().Value(uint32(id))}
 			}
 			sort.Slice(local, func(a, b int) bool { return local[a].pos < local[b].pos })
 			sr := segReps{positions: make([]uint64, n), keys: make([]string, n)}
@@ -395,8 +392,7 @@ func dedupSegment(s *colstore.Segment, columns, common []string, positions []uin
 		if err != nil {
 			return nil, err
 		}
-		bc := col.ToBitmapEncoding()
-		n := bc.DistinctCount()
+		n := col.DistinctCount()
 		values := make([]string, n)
 		bitmaps := make([]*wah.Bitmap, n)
 		if keyVals != nil && len(common) == 1 && cn == common[0] {
@@ -405,17 +401,17 @@ func dedupSegment(s *colstore.Segment, columns, common []string, positions []uin
 			// filtering. Values stay in local dictionary order (survivors
 			// get a bitmap, the rest are dropped by the builder).
 			for id := 0; id < n; id++ {
-				values[id] = bc.Dict().Value(uint32(id))
+				values[id] = col.Dict().Value(uint32(id))
 			}
 			for rank, v := range keyVals {
 				bm := wah.New()
 				bm.Add(uint64(rank))
-				bitmaps[bc.Dict().Lookup(v)] = bm
+				bitmaps[col.Dict().Lookup(v)] = bm
 			}
 		} else {
 			opt.forEach(n, func(id int) {
-				values[id] = bc.Dict().Value(uint32(id))
-				bitmaps[id] = wah.FilterPositions(bc.BitmapForID(uint32(id)), positions)
+				values[id] = col.Dict().Value(uint32(id))
+				bitmaps[id] = wah.FilterPositions(col.BitmapForID(uint32(id)), positions)
 			})
 		}
 		if err := sb.SetFromBitmaps(ci, values, bitmaps, nrows); err != nil {

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"cods/internal/colstore"
 )
 
 func TestMergeGeneralCompositeJoin(t *testing.T) {
@@ -57,74 +55,6 @@ func TestMergeAutoSelectsGeneralForComposite(t *testing.T) {
 	if res.Reused != "" || res.Table.NumRows() != 4 {
 		t.Fatalf("res=%+v rows=%d", res.Reused, res.Table.NumRows())
 	}
-}
-
-// rleTable builds a table whose columns are RLE encoded, to verify the
-// evolution algorithms accept the alternate encoding (§2.2: RLE for
-// sorted columns) by converting on demand.
-func rleTable(t *testing.T, name string, columns []string, rows [][]string) *colstore.Table {
-	t.Helper()
-	cols := make([]*colstore.Column, len(columns))
-	for c := range columns {
-		vals := make([]string, len(rows))
-		for r := range rows {
-			vals[r] = rows[r][c]
-		}
-		cols[c] = colstore.NewRLEColumn(columns[c], vals)
-	}
-	tab, err := colstore.NewTable(name, cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-func TestDecomposeRLEInput(t *testing.T) {
-	rows := [][]string{
-		// Sorted by K: the RLE-friendly shape.
-		{"k1", "b1", "c1"},
-		{"k1", "b2", "c1"},
-		{"k1", "b3", "c1"},
-		{"k2", "b1", "c2"},
-		{"k2", "b4", "c2"},
-		{"k3", "b1", "c3"},
-	}
-	r := rleTable(t, "R", []string{"K", "B", "C"}, rows)
-	kcol, _ := r.Column("K")
-	if kcol.Encoding() != colstore.EncodingRLE {
-		t.Fatal("test setup: K not RLE")
-	}
-	res, err := Decompose(r, DecomposeSpec{
-		OutS: "S", SColumns: []string{"K", "B"},
-		OutT: "T", TColumns: []string{"K", "C"},
-	}, Options{ValidateFD: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.T.NumRows() != 3 {
-		t.Fatalf("T rows=%d", res.T.NumRows())
-	}
-	want := buildTable(t, "W", []string{"K", "C"}, nil, [][]string{
-		{"k1", "c1"}, {"k2", "c2"}, {"k3", "c3"},
-	})
-	assertSameTuples(t, res.T, want, "RLE decompose")
-}
-
-func TestMergeKeyFKRLEInput(t *testing.T) {
-	s := rleTable(t, "S", []string{"K", "B"}, [][]string{
-		{"k1", "b1"}, {"k1", "b2"}, {"k2", "b3"},
-	})
-	dim := rleTable(t, "T", []string{"K", "C"}, [][]string{
-		{"k1", "c1"}, {"k2", "c2"},
-	})
-	res, err := MergeKeyFK(s, dim, "R", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := buildTable(t, "W", []string{"K", "B", "C"}, nil, [][]string{
-		{"k1", "b1", "c1"}, {"k1", "b2", "c1"}, {"k2", "b3", "c2"},
-	})
-	assertSameTuples(t, res.Table, want, "RLE merge")
 }
 
 func TestDecomposeKeyColumnSharesDictionary(t *testing.T) {

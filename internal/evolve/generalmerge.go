@@ -174,19 +174,18 @@ func buildJoinGroups(s, t *colstore.Table, common []string, opt Options) ([]join
 		if err != nil {
 			return nil, err
 		}
-		sb, tb := sc.ToBitmapEncoding(), tc.ToBitmapEncoding()
 		// Decompress each value's position lists in parallel, then compact
 		// in dictionary id order to keep the output layout deterministic.
-		found := make([]*joinGroup, sb.DistinctCount())
-		opt.forEach(sb.DistinctCount(), func(id int) {
-			value := sb.Dict().Value(uint32(id))
-			tid := tb.Dict().Lookup(value)
+		found := make([]*joinGroup, sc.DistinctCount())
+		opt.forEach(sc.DistinctCount(), func(id int) {
+			value := sc.Dict().Value(uint32(id))
+			tid := tc.Dict().Lookup(value)
 			if tid == dict.NoID {
 				return
 			}
 			found[id] = &joinGroup{
-				sPositions: sb.BitmapForID(uint32(id)).AppendPositionsTo(nil),
-				tPositions: tb.BitmapForID(tid).AppendPositionsTo(nil),
+				sPositions: sc.BitmapForID(uint32(id)).AppendPositionsTo(nil),
+				tPositions: tc.BitmapForID(tid).AppendPositionsTo(nil),
 			}
 		})
 		var groups []joinGroup

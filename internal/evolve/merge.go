@@ -148,19 +148,18 @@ func factGroups(fact, dim *colstore.Table, common []string, opt Options) ([]fact
 		if err != nil {
 			return nil, err
 		}
-		fk, dk := factKey.ToBitmapEncoding(), dimKey.ToBitmapEncoding()
-		groups := make([]factGroup, fk.DistinctCount())
-		if err := opt.forEachErr(fk.DistinctCount(), func(id int) error {
-			value := fk.Dict().Value(uint32(id))
-			dimID := dk.Dict().Lookup(value)
+		groups := make([]factGroup, factKey.DistinctCount())
+		if err := opt.forEachErr(factKey.DistinctCount(), func(id int) error {
+			value := factKey.Dict().Value(uint32(id))
+			dimID := dimKey.Dict().Lookup(value)
 			if dimID == dict.NoID {
 				return fmt.Errorf("evolve: foreign-key violation: %s value %q of %s has no match in %s", common[0], value, fact.Name(), dim.Name())
 			}
-			dimRow, ok := dk.BitmapForID(dimID).FirstOne()
+			dimRow, ok := dimKey.BitmapForID(dimID).FirstOne()
 			if !ok {
 				return fmt.Errorf("evolve: dimension %s has an empty bitmap for %q", dim.Name(), value)
 			}
-			groups[id] = factGroup{factBitmap: fk.BitmapForID(uint32(id)), dimRow: dimRow}
+			groups[id] = factGroup{factBitmap: factKey.BitmapForID(uint32(id)), dimRow: dimRow}
 			return nil
 		}); err != nil {
 			return nil, err
@@ -366,15 +365,14 @@ func localFactGroups(fs *colstore.Segment, factName, dimName string, common []st
 		if err != nil {
 			return nil, err
 		}
-		fk := factKey.ToBitmapEncoding()
-		groups := make([]factGroup, fk.DistinctCount())
-		for id := 0; id < fk.DistinctCount(); id++ {
-			value := fk.Dict().Value(uint32(id))
+		groups := make([]factGroup, factKey.DistinctCount())
+		for id := 0; id < factKey.DistinctCount(); id++ {
+			value := factKey.Dict().Value(uint32(id))
 			dimRow, ok := dimIndex[value+"\x00"]
 			if !ok {
 				return nil, fmt.Errorf("evolve: foreign-key violation: %s value %q of %s has no match in %s", common[0], value, factName, dimName)
 			}
-			groups[id] = factGroup{factBitmap: fk.BitmapForID(uint32(id)), dimRow: dimRow}
+			groups[id] = factGroup{factBitmap: factKey.BitmapForID(uint32(id)), dimRow: dimRow}
 		}
 		return groups, nil
 	}

@@ -48,17 +48,16 @@ func Union(a, b *colstore.Table, outName string, opt Options) (*colstore.Table, 
 		if err != nil {
 			return nil, err
 		}
-		ba, bb := ca.ToBitmapEncoding(), cb.ToBitmapEncoding()
 		// Output dictionary: a's values then b's new values.
 		var values []string
 		index := make(map[string]int)
-		for id := 0; id < ba.DistinctCount(); id++ {
-			v := ba.Dict().Value(uint32(id))
+		for id := 0; id < ca.DistinctCount(); id++ {
+			v := ca.Dict().Value(uint32(id))
 			index[v] = len(values)
 			values = append(values, v)
 		}
-		for id := 0; id < bb.DistinctCount(); id++ {
-			v := bb.Dict().Value(uint32(id))
+		for id := 0; id < cb.DistinctCount(); id++ {
+			v := cb.Dict().Value(uint32(id))
 			if _, ok := index[v]; !ok {
 				index[v] = len(values)
 				values = append(values, v)
@@ -68,14 +67,14 @@ func Union(a, b *colstore.Table, outName string, opt Options) (*colstore.Table, 
 		opt.forEach(len(values), func(vi int) {
 			v := values[vi]
 			var bm *wah.Bitmap
-			if id := ba.Dict().Lookup(v); id != noID {
-				bm = ba.BitmapForID(id).Clone()
+			if id := ca.Dict().Lookup(v); id != noID {
+				bm = ca.BitmapForID(id).Clone()
 			} else {
 				bm = wah.New()
 			}
 			bm.Extend(a.NumRows())
-			if id := bb.Dict().Lookup(v); id != noID {
-				bm.Concat(bb.BitmapForID(id))
+			if id := cb.Dict().Lookup(v); id != noID {
+				bm.Concat(cb.BitmapForID(id))
 			}
 			bitmaps[vi] = bm
 		})

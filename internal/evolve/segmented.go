@@ -91,10 +91,9 @@ func segRowIndex(t *colstore.Table, columns []string) (map[string]uint64, error)
 			if err != nil {
 				return nil, err
 			}
-			bc := c.ToBitmapEncoding()
-			for id := 0; id < bc.DistinctCount(); id++ {
-				v := bc.Dict().Value(uint32(id))
-				pos, ok := bc.BitmapForID(uint32(id)).FirstOne()
+			for id := 0; id < c.DistinctCount(); id++ {
+				v := c.Dict().Value(uint32(id))
+				pos, ok := c.BitmapForID(uint32(id)).FirstOne()
 				if !ok {
 					continue
 				}
@@ -156,10 +155,9 @@ func valuePositions(t *colstore.Table, cn string, opt Options) ([][]uint64, *dic
 	}
 	locals := make([][][]uint64, len(segs))
 	opt.forEach(len(segs), func(i int) {
-		bc := cols[i].ToBitmapEncoding()
-		lp := make([][]uint64, bc.DistinctCount())
+		lp := make([][]uint64, cols[i].DistinctCount())
 		for id := range lp {
-			ps := bc.BitmapForID(uint32(id)).AppendPositionsTo(nil)
+			ps := cols[i].BitmapForID(uint32(id)).AppendPositionsTo(nil)
 			for j := range ps {
 				ps[j] += offs[i]
 			}

@@ -6,16 +6,13 @@
 // cardinality (dictionary distinct counts over segment row counts — the
 // statistics colstore.Column.Stats exposes), join keys shared between a
 // fact scan and a dimension are pre-reduced by a WAH semi-join that
-// never decodes a row, and the resulting plan shape is memoized in an
-// LRU cache keyed on the normalized query (literals stripped), so a
-// repeated query shape skips pushdown analysis and join ordering.
-// Single-table queries delegate to colquery.Run unchanged.
+// never decodes a row. Single-table queries delegate to colquery.Run
+// unchanged.
 package plan
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"cods/internal/colquery"
 	"cods/internal/colstore"
@@ -63,10 +60,6 @@ type Query struct {
 	// DisableSemiJoin turns off the WAH semi-join reduction of the From
 	// scan (used by benchmarks to isolate the generic hash path).
 	DisableSemiJoin bool
-	// Epoch tags cached plan shapes; callers pass a catalog version so
-	// an evolution invalidates cached join orders. A stale hit is never
-	// incorrect — only the cost estimates behind the join order age.
-	Epoch string
 }
 
 // Resolver maps a table name to its immutable snapshot. Errors pass
@@ -74,9 +67,8 @@ type Query struct {
 // the caller (the HTTP layer classifies it as 404).
 type Resolver func(name string) (*colstore.Table, error)
 
-// Run plans and executes q. cache may be nil (plans are then derived
-// from scratch each time).
-func Run(resolve Resolver, q Query, cache *Cache) (*colquery.ResultSet, error) {
+// Run plans and executes q.
+func Run(resolve Resolver, q Query) (*colquery.ResultSet, error) {
 	if len(q.Joins) == 0 {
 		t, err := resolve(q.From)
 		if err != nil {
@@ -102,10 +94,7 @@ func Run(resolve Resolver, q Query, cache *Cache) (*colquery.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := cache.lookup(shapeKey(q), func() *spec {
-		return makeSpec(q, tables, conjuncts)
-	})
-	root, err := assemble(q, tables, conjuncts, sp)
+	root, err := assemble(q, tables, conjuncts, makeSpec(q, tables, conjuncts))
 	if err != nil {
 		return nil, err
 	}
@@ -123,10 +112,9 @@ func Run(resolve Resolver, q Query, cache *Cache) (*colquery.ResultSet, error) {
 // row-wise filter above the joins.
 const residual = -1
 
-// spec is the cached plan shape: where each WHERE conjunct lands and
-// the order joins execute in. It depends only on the query's shape and
-// the tables' statistics, never on literal values, which is what makes
-// it cacheable under a literal-stripped key.
+// spec is the plan shape: where each WHERE conjunct lands and the order
+// joins execute in, decided from the query's shape and the tables'
+// statistics.
 type spec struct {
 	// pushed[i] is the table slot (0 = From, j+1 = Joins[j]) whose scan
 	// absorbs conjunct i, or residual.
@@ -449,52 +437,4 @@ func andAll(conjuncts []expr.Node, pushed []int, slot int) expr.Node {
 		}
 	}
 	return node
-}
-
-// shapeKey normalizes a query to its cacheable shape: tables, joins,
-// output clauses, and the WHERE tree with literals replaced by '?'.
-func shapeKey(q Query) string {
-	var sb strings.Builder
-	sb.WriteString(q.Epoch)
-	sb.WriteString("|f:")
-	sb.WriteString(q.From)
-	for _, j := range q.Joins {
-		fmt.Fprintf(&sb, "|j:%s(%s)", j.Table, strings.Join(j.On, ","))
-	}
-	fmt.Fprintf(&sb, "|s:%s|g:%s", strings.Join(q.Select, ","), q.GroupBy)
-	for _, a := range q.Aggregates {
-		fmt.Fprintf(&sb, "|a:%s:%s", a.Func, a.Column)
-	}
-	sb.WriteString("|w:")
-	if q.Where != "" {
-		if pred, err := expr.Parse(q.Where); err == nil {
-			writeShape(&sb, pred)
-		} else {
-			sb.WriteString(q.Where)
-		}
-	}
-	return sb.String()
-}
-
-func writeShape(sb *strings.Builder, n expr.Node) {
-	switch v := n.(type) {
-	case *expr.Comparison:
-		fmt.Fprintf(sb, "%s%s?", v.Column, v.Op)
-	case *expr.Logical:
-		op := "|"
-		if v.IsAnd {
-			op = "&"
-		}
-		sb.WriteString("(")
-		writeShape(sb, v.L)
-		sb.WriteString(op)
-		writeShape(sb, v.R)
-		sb.WriteString(")")
-	case *expr.Not:
-		sb.WriteString("!(")
-		writeShape(sb, v.X)
-		sb.WriteString(")")
-	default:
-		sb.WriteString(n.String())
-	}
 }

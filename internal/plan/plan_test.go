@@ -70,7 +70,7 @@ func TestSingleTableDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(resolver(tab), Query{From: "t", Select: []string{"B"}, Where: "A = 'x'"}, nil)
+	got, err := Run(resolver(tab), Query{From: "t", Select: []string{"B"}, Where: "A = 'x'"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestJoinStarSchema(t *testing.T) {
 		[][]string{{"a", "d-a"}, {"b", "d-b"}, {"c", "d-c"}})
 	rs, err := Run(resolver(fact, dim), Query{
 		From: "fact", Joins: []Join{{Table: "dim", On: []string{"K"}}},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestJoinReorderChain(t *testing.T) {
 	}
 	// And the full run produces the chain's single row with the written
 	// star schema (a, then c's columns, then b's).
-	rs, err := Run(resolver(a, b, c), q, nil)
+	rs, err := Run(resolver(a, b, c), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,13 @@ func TestSemiJoinOnOffParity(t *testing.T) {
 		Where:   "SmallV = 'odd'",
 		OrderBy: "V",
 	}
-	on, err := Run(res, base, nil)
+	on, err := Run(res, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := base
 	off.DisableSemiJoin = true
-	offRS, err := Run(res, off, nil)
+	offRS, err := Run(res, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestResidualFilter(t *testing.T) {
 		// The OR spans both tables: no single scan can absorb it, so it
 		// must run as a row-wise filter above the join.
 		Where: "F = '1' OR D = 'nope'",
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSelectOrderRestored(t *testing.T) {
 		From:   "fact",
 		Joins:  []Join{{Table: "dim", On: []string{"K"}}},
 		Select: []string{"D", "F", "K"},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestJoinedAggregates(t *testing.T) {
 		},
 		Aggregates: []colquery.Agg{{Func: colquery.Count}, {Func: colquery.Sum, Column: "V"}},
 		GroupBy:    "SmallV",
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,103 +306,13 @@ func TestResolverErrorPassesThrough(t *testing.T) {
 		}
 		return nil, sentinel
 	}
-	_, err := Run(res, Query{From: "fact", Joins: []Join{{Table: "gone", On: []string{"K"}}}}, nil)
+	_, err := Run(res, Query{From: "fact", Joins: []Join{{Table: "gone", On: []string{"K"}}}})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the resolver's sentinel", err)
 	}
-	_, err = Run(res, Query{From: "gone"}, nil)
+	_, err = Run(res, Query{From: "gone"})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("single-table err = %v, want the resolver's sentinel", err)
-	}
-}
-
-func TestShapeKeyNormalizesLiterals(t *testing.T) {
-	base := Query{
-		From:  "fact",
-		Joins: []Join{{Table: "dim", On: []string{"K"}}},
-		Where: "F = 'x' AND D != 'y'",
-		Epoch: "7",
-	}
-	other := base
-	other.Where = "F = 'zzz' AND D != 'w'"
-	if shapeKey(base) != shapeKey(other) {
-		t.Fatalf("literal change altered the key:\n%s\n%s", shapeKey(base), shapeKey(other))
-	}
-	shape := base
-	shape.Where = "F = 'x' OR D != 'y'"
-	if shapeKey(base) == shapeKey(shape) {
-		t.Fatal("AND vs OR produced the same key")
-	}
-	epoch := base
-	epoch.Epoch = "8"
-	if shapeKey(base) == shapeKey(epoch) {
-		t.Fatal("epoch change did not alter the key")
-	}
-}
-
-func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
-	calls := 0
-	fill := func() *spec { calls++; return &spec{} }
-	a := c.lookup("a", fill)
-	if c.lookup("a", fill) != a {
-		t.Fatal("second lookup missed")
-	}
-	c.lookup("b", fill)
-	c.lookup("a", fill) // refresh a: b is now least recent
-	c.lookup("c", fill) // evicts b
-	if hits, misses, entries := c.Stats(); hits != 2 || misses != 3 || entries != 2 {
-		t.Fatalf("stats = %d hits, %d misses, %d entries; want 2, 3, 2", hits, misses, entries)
-	}
-	c.lookup("b", fill) // must refill: b was evicted (and a falls out now)
-	if calls != 4 {
-		t.Fatalf("fill ran %d times, want 4 (a, b, c, b-again)", calls)
-	}
-	c.lookup("c", fill) // still resident
-	if calls != 4 {
-		t.Fatalf("fill ran %d times after c re-lookup, want still 4", calls)
-	}
-}
-
-func TestCacheNilReceiver(t *testing.T) {
-	var c *Cache
-	sp := c.lookup("k", func() *spec { return &spec{order: []int{1}} })
-	if sp == nil || len(sp.order) != 1 {
-		t.Fatalf("nil cache lookup = %+v", sp)
-	}
-}
-
-func TestRunUsesCache(t *testing.T) {
-	res := starJoinFixture(t)
-	c := NewCache(0)
-	q := Query{
-		From:  "fact",
-		Joins: []Join{{Table: "small", On: []string{"SK"}}},
-		Where: "SmallV = 'odd'",
-		Epoch: "1",
-	}
-	first, err := Run(res, q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Where = "SmallV = 'even'" // same shape, different literal
-	second, err := Run(res, q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses; want 1 hit, 1 miss", hits, misses)
-	}
-	if len(first.Rows)+len(second.Rows) != 40 {
-		t.Fatalf("odd+even rows = %d+%d, want all 40", len(first.Rows), len(second.Rows))
-	}
-	// A new epoch (schema evolution) must miss.
-	q.Epoch = "2"
-	if _, err := Run(res, q, c); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("after epoch bump: %d hits, %d misses; want 1, 2", hits, misses)
 	}
 }
 
@@ -411,7 +321,7 @@ func TestGroupByWithoutAggregates(t *testing.T) {
 	dim := mkTable(t, "dim", []string{"K", "D"}, [][]string{{"a", "d"}})
 	_, err := Run(resolver(fact, dim), Query{
 		From: "fact", Joins: []Join{{Table: "dim", On: []string{"K"}}}, GroupBy: "D",
-	}, nil)
+	})
 	if err == nil {
 		t.Fatal("GROUP BY without aggregates accepted")
 	}
@@ -422,7 +332,7 @@ func TestEmptyJoinResultIsNonNil(t *testing.T) {
 	dim := mkTable(t, "dim", []string{"K", "D"}, [][]string{{"z", "d"}})
 	rs, err := Run(resolver(fact, dim), Query{
 		From: "fact", Joins: []Join{{Table: "dim", On: []string{"K"}}},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

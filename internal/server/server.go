@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -249,11 +248,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes caps a request body; a larger one is answered 413.
+const maxBodyBytes = 16 << 20
+
 // readJSON decodes a request body, rejecting trailing garbage.
-func readJSON(r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+func readJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		}
 		return errf(http.StatusBadRequest, "invalid request body: %v", err)
 	}
 	if dec.More() {
@@ -425,7 +431,7 @@ var aggFuncs = map[string]cods.AggFunc{
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *httpError {
 	var req QueryRequest
-	if herr := readJSON(r, &req); herr != nil {
+	if herr := readJSON(w, r, &req); herr != nil {
 		return herr
 	}
 	var rs *cods.ResultSet
@@ -527,7 +533,7 @@ func toExecResult(r *cods.Result) ExecResult {
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) *httpError {
 	var req ExecRequest
-	if herr := readJSON(r, &req); herr != nil {
+	if herr := readJSON(w, r, &req); herr != nil {
 		return herr
 	}
 	switch {

@@ -195,6 +195,36 @@ func TestExecErrorMapping(t *testing.T) {
 	}
 }
 
+// A body one byte over the 16 MiB cap is refused as too large (413),
+// not reported as a truncated-JSON client error (400).
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	const limit = 16 << 20
+	prefix, suffix := `{"script":"`, `"}`
+	body := append([]byte(prefix), bytes.Repeat([]byte("x"), limit+1-len(prefix)-len(suffix))...)
+	body = append(body, suffix...)
+	if len(body) != limit+1 {
+		t.Fatalf("test body is %d bytes, want %d", len(body), limit+1)
+	}
+	resp, err := http.Post(ts.URL+"/exec", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("413 body is not JSON: %v", err)
+	}
+	if e.Error == "" {
+		t.Fatal("413 body has no error message")
+	}
+}
+
 // A mid-script failure commits (and journals) the leading statements;
 // the error response must carry them so the client knows what happened.
 func TestExecScriptPartialFailureReportsResults(t *testing.T) {

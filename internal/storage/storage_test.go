@@ -51,34 +51,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadPreservesRLEColumns(t *testing.T) {
-	dir := t.TempDir()
-	sorted := colstore.NewRLEColumn("S", []string{"a", "a", "b", "b", "b", "c"})
-	other := colstore.NewColumnFromValues("V", []string{"1", "2", "3", "4", "5", "6"})
-	tab, err := colstore.NewTable("T", []*colstore.Column{sorted, other}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(dir, []*colstore.Table{tab}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := loaded[0].Column("S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Encoding() != colstore.EncodingRLE {
-		t.Fatalf("encoding=%v, RLE not preserved", col.Encoding())
-	}
-	v, _ := col.ValueAt(4)
-	if v != "b" {
-		t.Fatalf("row 4 = %q", v)
-	}
-}
-
 func TestLoadMissingDir(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected error")
