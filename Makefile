@@ -30,12 +30,16 @@ test-shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 
 # Race-detector pass over the concurrency-sensitive packages: the parallel
-# execution layer, the evolution algorithms that fan out over it, the
-# engine's atomic catalog publication, the DML delta overlay (lazy flush
-# caching racing concurrent readers), the segmented persistence layer, the
-# SMO parser the WAL replays through, the public facade (lock-free reads
-# vs Exec, plus the segmented-vs-rebuild property test), and the HTTP
-# serving layer.
+# execution layer, the evolution algorithms that fan out over it, the WAH
+# kernels and column store they run on, the query operators and planner
+# (per-distinct-value fan-out), the engine's atomic catalog publication,
+# the DML delta overlay (lazy flush caching racing concurrent readers),
+# the segmented persistence layer, the SMO parser the WAL replays through,
+# the public facade (lock-free reads racing Exec and DML, plus the
+# segmented-vs-rebuild property test), the HTTP serving layer (concurrent
+# requests racing evolutions), and the HTAP workload driver (worker
+# goroutines racing the background SMO stream). CI runs this target, so
+# the list lives here only.
 race:
 	$(GO) test -race cods cods/internal/par cods/internal/evolve \
 		cods/internal/wah cods/internal/colstore cods/internal/colquery \

@@ -358,65 +358,21 @@ func (db *DB) Prune(keepLast int) int {
 
 // MemStats reports the memory-pressure gauges of the write path: how
 // many schema versions are retained for Rollback, how many delta-overlay
-// rows are pending compaction, and how many compactions have run. It is
-// lock-free — it answers even while an evolution or checkpoint holds the
-// write path — so operators can poll it (GET /stats serves it) to watch
-// retention and auto-compaction work.
-type MemStats struct {
-	// RetainedVersions counts catalog snapshots kept for Rollback,
-	// current version included.
-	RetainedVersions int
-	// OldestRetainedVersion is the oldest schema version Rollback can
-	// restore.
-	OldestRetainedVersion int
-	// PendingRows totals appended rows plus deletion marks across every
-	// table's delta overlay.
-	PendingRows uint64
-	// Compactions counts overlay compactions (explicit, checkpoint, or
-	// automatic) since the database opened.
-	Compactions uint64
-	// SegmentMerges counts tiered segment merges (after flushes and after
-	// evolutions) since the database opened.
-	SegmentMerges uint64
-	// Tables holds per-table segment-layout gauges, sorted by table
-	// name. A segment count that keeps growing means the merge policy is
-	// not keeping up with the write stream.
-	Tables []TableSegments
-}
+// rows are pending compaction, how many compactions and segment merges
+// have run, and each table's segment layout. It is lock-free — it
+// answers even while an evolution or checkpoint holds the write path —
+// so operators can poll it (GET /stats serves it) to watch retention and
+// auto-compaction work.
+type MemStats = core.MemStats
 
-// TableSegments is one table's segment-layout gauge: how many base
-// segments the table holds and how skewed their row counts are.
-type TableSegments struct {
-	// Table is the table name.
-	Table string
-	// Segments is the number of base segments.
-	Segments int
-	// MinRows and MaxRows bound the per-segment row counts; both are 0
-	// for an empty table.
-	MinRows, MaxRows uint64
-}
+// TableSegments is one table's segment-layout gauge in MemStats: how
+// many base segments the table holds and how skewed their row counts
+// are.
+type TableSegments = core.TableSegments
 
 // MemStats returns the current memory-pressure gauges, lock-free.
 // cods:lockfree
-func (db *DB) MemStats() MemStats {
-	ms := db.engine.MemStats()
-	out := MemStats{
-		RetainedVersions:      ms.RetainedVersions,
-		OldestRetainedVersion: ms.OldestRetained,
-		PendingRows:           ms.PendingRows,
-		Compactions:           ms.Compactions,
-		SegmentMerges:         ms.SegmentMerges,
-	}
-	for _, t := range ms.Tables {
-		out.Tables = append(out.Tables, TableSegments{
-			Table:    t.Table,
-			Segments: t.Segments,
-			MinRows:  t.MinRows,
-			MaxRows:  t.MaxRows,
-		})
-	}
-	return out
-}
+func (db *DB) MemStats() MemStats { return db.engine.MemStats() }
 
 // Close releases a durable database's write-ahead log. Further
 // catalog-changing calls fail with ErrClosed; reads keep working on the
@@ -561,10 +517,11 @@ func (s *Snapshot) Count(table, condition string) (uint64, error) {
 // aggregation, ordering and limit against the snapshot. Every table —
 // the root and each join — resolves from this one snapshot, so a join
 // never observes two catalog versions, even while evolutions commit
-// concurrently. Join queries go through the planner (internal/plan):
+// concurrently. Every query goes through the planner (internal/plan):
 // single-table WHERE conjuncts are pushed into bitmap scans, joins are
 // reordered by estimated cardinality, shared join keys are pre-reduced
-// by a WAH semi-join.
+// by a WAH semi-join, and aggregates over one table run on its bitmaps
+// without decoding a row.
 func (s *Snapshot) RunQuery(table string, q TableQuery) (*ResultSet, error) {
 	pq := plan.Query{
 		Select:      q.Select,
@@ -1138,7 +1095,7 @@ type TableQuery struct {
 	// OrderBy sorts by one output column; Desc reverses.
 	OrderBy string
 	Desc    bool
-	// Limit caps output rows (0 = unlimited).
+	// Limit caps output rows (0 = unlimited; negative is an error).
 	Limit int
 }
 
@@ -1151,8 +1108,9 @@ type ResultSet struct {
 // RunQuery executes a query with optional joins, filtering, grouping,
 // aggregation, ordering and limit against one table. Predicates and COUNT
 // aggregates are evaluated on compressed bitmaps — once per distinct
-// value, never per row. Joins run through the cost-based planner; all
-// tables resolve from one snapshot (see Snapshot.RunQuery).
+// value, never per row. Every query, joined or not, runs through the
+// cost-based planner; all tables resolve from one snapshot (see
+// Snapshot.RunQuery).
 // cods:lockfree
 func (db *DB) RunQuery(table string, q TableQuery) (*ResultSet, error) {
 	return db.Snapshot().RunQuery(table, q)

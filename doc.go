@@ -64,8 +64,8 @@
 // Joins are inner equi-joins, USING-style: each ON column must exist on
 // both sides and appears once in the output; the written join order
 // defines the output schema. RunQuery is the structured equivalent
-// (TableQuery with a Joins field). Multi-table queries are planned by a
-// small cost-based planner (internal/plan): WHERE conjuncts that
+// (TableQuery with a Joins field). Every query is planned by a small
+// cost-based planner (internal/plan): WHERE conjuncts that
 // mention only one table's columns are pushed into that table's scan
 // and evaluated as compressed per-value bitmaps; joins are reordered
 // greedily by estimated cardinality from the column statistics
@@ -75,7 +75,9 @@
 // for tables produced by DECOMPOSE — the probe side is pre-reduced by a
 // WAH semi-join mask, so rows that cannot join are never decoded.
 // Predicates that genuinely span tables stay as a residual filter above
-// the join.
+// the join. A query with no joins aggregates directly on its table's
+// bitmaps: COUNT is a compressed popcount, and every other aggregate
+// visits each distinct value once, never a row.
 //
 // Semantically, SELECT over a join is the inverse of DECOMPOSE: joining
 // the decomposition back on its shared key returns exactly the rows of

@@ -1,15 +1,18 @@
-package colquery
+package colquery_test
 
 import (
 	"reflect"
 	"testing"
+
+	"cods/internal/colquery"
+	"cods/internal/plan"
 )
 
 func TestOrderByOnAggregateColumn(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		GroupBy:    "Region",
-		Aggregates: []Agg{{Func: Sum, Column: "Amount", As: "total"}},
+		Aggregates: []colquery.Agg{{Func: colquery.Sum, Column: "Amount", As: "total"}},
 		OrderBy:    "total",
 		Desc:       true,
 		Limit:      2,
@@ -28,12 +31,12 @@ func TestOrderByOnAggregateColumn(t *testing.T) {
 
 func TestMinMaxNumericVsLexicographic(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
-		Aggregates: []Agg{
-			{Func: Min, Column: "Amount"},
-			{Func: Max, Column: "Amount"},
-			{Func: Min, Column: "Region"},
-			{Func: Max, Column: "Region"},
+	rs, err := run(tab, plan.Query{
+		Aggregates: []colquery.Agg{
+			{Func: colquery.Min, Column: "Amount"},
+			{Func: colquery.Max, Column: "Amount"},
+			{Func: colquery.Min, Column: "Region"},
+			{Func: colquery.Max, Column: "Region"},
 		},
 	})
 	if err != nil {
@@ -50,7 +53,7 @@ func TestMinMaxNumericVsLexicographic(t *testing.T) {
 
 func TestLimitWithoutOrder(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{Limit: 2})
+	rs, err := run(tab, plan.Query{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +64,10 @@ func TestLimitWithoutOrder(t *testing.T) {
 
 func TestGroupByRespectsRowlessTable(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		Where:      "Region = 'nowhere'",
 		GroupBy:    "Region",
-		Aggregates: []Agg{{Func: Count}},
+		Aggregates: []colquery.Agg{{Func: colquery.Count}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +78,9 @@ func TestGroupByRespectsRowlessTable(t *testing.T) {
 }
 
 func TestAggFuncString(t *testing.T) {
-	names := map[AggFunc]string{
-		Count: "count", CountDistinct: "count_distinct",
-		Min: "min", Max: "max", Sum: "sum", Avg: "avg",
+	names := map[colquery.AggFunc]string{
+		colquery.Count: "count", colquery.CountDistinct: "count_distinct",
+		colquery.Min: "min", colquery.Max: "max", colquery.Sum: "sum", colquery.Avg: "avg",
 	}
 	for f, want := range names {
 		if f.String() != want {

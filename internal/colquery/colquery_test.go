@@ -1,15 +1,28 @@
-package colquery
+package colquery_test
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
+	"cods/internal/colquery"
 	"cods/internal/colstore"
+	"cods/internal/plan"
 )
+
+// run answers q over tab alone through the planner, the one way queries
+// are built.
+func run(tab *colstore.Table, q plan.Query) (*colquery.ResultSet, error) {
+	q.From = tab.Name()
+	return plan.Run(func(name string) (*colstore.Table, error) {
+		if name != tab.Name() {
+			return nil, fmt.Errorf("no table %q", name)
+		}
+		return tab, nil
+	}, q)
+}
 
 func salesTable(t *testing.T) *colstore.Table {
 	t.Helper()
@@ -37,7 +50,7 @@ func salesTable(t *testing.T) *colstore.Table {
 
 func TestSelectWhereProjection(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{Select: []string{"Product", "Amount"}, Where: "Region = 'east'"})
+	rs, err := run(tab, plan.Query{Select: []string{"Product", "Amount"}, Where: "Region = 'east'"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +65,7 @@ func TestSelectWhereProjection(t *testing.T) {
 
 func TestSelectAllColumnsNoWhere(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{})
+	rs, err := run(tab, plan.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +76,15 @@ func TestSelectAllColumnsNoWhere(t *testing.T) {
 
 func TestAggregatesWithoutGroup(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		Where: "Product = 'pen'",
-		Aggregates: []Agg{
-			{Func: Count},
-			{Func: Sum, Column: "Amount"},
-			{Func: Min, Column: "Amount"},
-			{Func: Max, Column: "Amount"},
-			{Func: Avg, Column: "Amount", As: "avg_amount"},
-			{Func: CountDistinct, Column: "Region"},
+		Aggregates: []colquery.Agg{
+			{Func: colquery.Count},
+			{Func: colquery.Sum, Column: "Amount"},
+			{Func: colquery.Min, Column: "Amount"},
+			{Func: colquery.Max, Column: "Amount"},
+			{Func: colquery.Avg, Column: "Amount", As: "avg_amount"},
+			{Func: colquery.CountDistinct, Column: "Region"},
 		},
 	})
 	if err != nil {
@@ -92,11 +105,11 @@ func TestAggregatesWithoutGroup(t *testing.T) {
 
 func TestGroupBy(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		GroupBy: "Region",
-		Aggregates: []Agg{
-			{Func: Count},
-			{Func: Sum, Column: "Amount"},
+		Aggregates: []colquery.Agg{
+			{Func: colquery.Count},
+			{Func: colquery.Sum, Column: "Amount"},
 		},
 		OrderBy: "Region",
 	})
@@ -115,10 +128,10 @@ func TestGroupBy(t *testing.T) {
 
 func TestGroupByWithWhereSkipsEmptyGroups(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		Where:      "Product = 'ink'",
 		GroupBy:    "Region",
-		Aggregates: []Agg{{Func: Count}},
+		Aggregates: []colquery.Agg{{Func: colquery.Count}},
 		OrderBy:    "Region",
 	})
 	if err != nil {
@@ -132,7 +145,7 @@ func TestGroupByWithWhereSkipsEmptyGroups(t *testing.T) {
 
 func TestOrderByNumericAndLimit(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		Select:  []string{"Amount"},
 		OrderBy: "Amount",
 		Desc:    true,
@@ -150,31 +163,31 @@ func TestOrderByNumericAndLimit(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	tab := salesTable(t)
-	if _, err := Run(tab, Query{Where: "bogus ~"}); err == nil {
+	if _, err := run(tab, plan.Query{Where: "bogus ~"}); err == nil {
 		t.Fatal("bad predicate should fail")
 	}
-	if _, err := Run(tab, Query{Select: []string{"Nope"}}); err == nil {
+	if _, err := run(tab, plan.Query{Select: []string{"Nope"}}); err == nil {
 		t.Fatal("unknown column should fail")
 	}
-	if _, err := Run(tab, Query{GroupBy: "Region"}); err == nil {
+	if _, err := run(tab, plan.Query{GroupBy: "Region"}); err == nil {
 		t.Fatal("GROUP BY without aggregates should fail")
 	}
-	if _, err := Run(tab, Query{GroupBy: "Nope", Aggregates: []Agg{{Func: Count}}}); err == nil {
+	if _, err := run(tab, plan.Query{GroupBy: "Nope", Aggregates: []colquery.Agg{{Func: colquery.Count}}}); err == nil {
 		t.Fatal("unknown group column should fail")
 	}
-	if _, err := Run(tab, Query{Aggregates: []Agg{{Func: Sum, Column: "Product"}}}); err == nil {
+	if _, err := run(tab, plan.Query{Aggregates: []colquery.Agg{{Func: colquery.Sum, Column: "Product"}}}); err == nil {
 		t.Fatal("SUM over non-numeric should fail")
 	}
-	if _, err := Run(tab, Query{OrderBy: "Nope"}); err == nil {
+	if _, err := run(tab, plan.Query{OrderBy: "Nope"}); err == nil {
 		t.Fatal("unknown order column should fail")
 	}
 }
 
 func TestEmptyResultAggregates(t *testing.T) {
 	tab := salesTable(t)
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		Where:      "Region = 'south'",
-		Aggregates: []Agg{{Func: Count}, {Func: Min, Column: "Amount"}, {Func: Avg, Column: "Amount"}},
+		Aggregates: []colquery.Agg{{Func: colquery.Count}, {Func: colquery.Min, Column: "Amount"}, {Func: colquery.Avg, Column: "Amount"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +211,9 @@ func TestAgainstNaiveReference(t *testing.T) {
 		sums[g] += v
 	}
 	tab, _ := tb.Finish()
-	rs, err := Run(tab, Query{
+	rs, err := run(tab, plan.Query{
 		GroupBy:    "G",
-		Aggregates: []Agg{{Func: Count}, {Func: Sum, Column: "V"}},
+		Aggregates: []colquery.Agg{{Func: colquery.Count}, {Func: colquery.Sum, Column: "V"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,22 +227,6 @@ func TestAgainstNaiveReference(t *testing.T) {
 		}
 		if row[2] != strconv.Itoa(sums[row[0]]) {
 			t.Fatalf("group %s sum=%s want %d", row[0], row[2], sums[row[0]])
-		}
-	}
-}
-
-func TestExplain(t *testing.T) {
-	tab := salesTable(t)
-	out := Explain(tab, Query{
-		Where:      "Region = 'east'",
-		GroupBy:    "Product",
-		Aggregates: []Agg{{Func: Count}},
-		OrderBy:    "Product",
-		Limit:      5,
-	})
-	for _, want := range []string{"bitmap-index scan", "popcount", "group by Product", "limit 5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("explain missing %q:\n%s", want, out)
 		}
 	}
 }

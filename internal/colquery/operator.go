@@ -427,13 +427,12 @@ func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism i
 }
 
 // GroupAgg aggregates an operator's output rows, optionally grouped by
-// one column. It is the row-wise counterpart of the bitmap-based
-// aggregation Run uses for stored tables — join output has no bitmap
-// index, so groups accumulate in a hash of first-appearance order, which
-// is exactly the dictionary id order the bitmap path emits (dictionaries
-// intern in first-appearance order), and the numeric kernels (exact
-// 128-bit SUM/AVG, the shared total order for MIN/MAX) are the same, so
-// both paths produce byte-identical results.
+// one column. It is the row-wise counterpart of BitmapAgg for inputs with
+// no bitmap index (join output): groups accumulate in a hash of
+// first-appearance order, which is exactly the dictionary id order
+// BitmapAgg emits (dictionaries intern in first-appearance order), and
+// both fold through the same aggState, so the two produce byte-identical
+// results.
 type GroupAgg struct {
 	in      Operator
 	groupBy string
@@ -484,10 +483,8 @@ func (g *GroupAgg) Open() error { g.done = false; return g.in.Open() }
 // Close implements Operator.
 func (g *GroupAgg) Close() error { return g.in.Close() }
 
-// aggState accumulates one aggregate over one group, matching the bitmap
-// path's arithmetic exactly (see aggregate): SUM/AVG run in 128 bits so
-// only a total exceeding int64 errors, MIN/MAX use the shared total
-// order.
+// aggState accumulates one aggregate over one group; GroupAgg and
+// BitmapAgg share it, so their arithmetic cannot drift apart.
 type aggState struct {
 	rows     uint64
 	distinct map[string]struct{}
@@ -497,10 +494,18 @@ type aggState struct {
 	sumLo    uint64
 }
 
-func (st *aggState) add(a Agg, v string) error {
+// add folds value v occurring n times. SUM/AVG form v×n and the running
+// sum exactly in 128 bits (two's complement hi:lo), so neither a
+// transient mid-fold overflow nor one huge v×n product can reject a
+// total that is representable: the result depends only on the multiset
+// of values, never on fold order, and the one error is the final total
+// exceeding int64 (reported by result). The accumulator itself cannot
+// overflow: Σ|v|·n ≤ (MaxInt64+1)·rows, which is below 2^127. MIN/MAX
+// use the shared total order; they and COUNT DISTINCT ignore n.
+func (st *aggState) add(a Agg, v string, n uint64) error {
 	switch a.Func {
 	case Count:
-		st.rows++
+		st.rows += n
 	case CountDistinct:
 		if st.distinct == nil {
 			st.distinct = make(map[string]struct{})
@@ -515,14 +520,26 @@ func (st *aggState) add(a Agg, v string) error {
 			st.best = v
 		}
 	case Sum, Avg:
-		n, err := strconv.ParseInt(v, 10, 64)
+		x, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return fmt.Errorf("colquery: %s over non-numeric value %q in %s", a.Func, v, a.Column)
 		}
+		mag := uint64(x)
+		if x < 0 {
+			mag = -mag // two's complement magnitude, MinInt64-safe
+		}
+		hi, lo := bits.Mul64(mag, n)
+		if x < 0 {
+			lo = ^lo + 1
+			hi = ^hi
+			if lo == 0 {
+				hi++
+			}
+		}
 		var carry uint64
-		st.sumLo, carry = bits.Add64(st.sumLo, uint64(n), 0)
-		st.sumHi += (n >> 63) + int64(carry)
-		st.rows++
+		st.sumLo, carry = bits.Add64(st.sumLo, lo, 0)
+		st.sumHi += int64(hi) + int64(carry)
+		st.rows += n
 	}
 	return nil
 }
@@ -594,7 +611,7 @@ func (g *GroupAgg) Next() ([][]string, error) {
 				if g.aggIdx[i] >= 0 {
 					v = row[g.aggIdx[i]]
 				}
-				if err := sts[i].add(a, v); err != nil {
+				if err := sts[i].add(a, v, 1); err != nil {
 					return nil, err
 				}
 			}
@@ -762,48 +779,159 @@ func (o *OrderLimit) Next() ([][]string, error) {
 	return rows, nil
 }
 
-// tableAggregate is the leaf operator for aggregates over one stored
-// table: it keeps the bitmap path — COUNT as a pure compressed popcount,
-// per-distinct-value AND+popcount for everything else (see aggregate and
-// runGrouped) — and emits the whole result as a single batch.
-type tableAggregate struct {
-	t    *colstore.Table
-	q    Query
-	mask *wah.Bitmap
-	cols []string
-	done bool
+// BitmapAgg is the leaf operator for aggregates over one stored table,
+// optionally grouped by one of its columns. It decodes no row: COUNT is
+// a popcount of the row mask, and every other aggregate visits each
+// distinct value of its column once, ANDing the value's bitmap with the
+// mask. Groups are the group column's distinct values, each an
+// independent task masked by one AND, emitted in dictionary id order so
+// output does not depend on scheduling. The whole result is one batch.
+type BitmapAgg struct {
+	nrows       uint64
+	mask        *wah.Bitmap
+	group       *colstore.Column
+	aggs        []Agg
+	aggCols     []*colstore.Column
+	cols        []string
+	parallelism int
+	done        bool
 }
 
-func newTableAggregate(t *colstore.Table, q Query, mask *wah.Bitmap) (*tableAggregate, error) {
-	ta := &tableAggregate{t: t, q: q, mask: mask}
-	if q.GroupBy != "" {
-		ta.cols = append([]string{q.GroupBy}, aggColumns(q.Aggregates)...)
-	} else {
-		ta.cols = aggColumns(q.Aggregates)
+// NewBitmapAgg aggregates the rows of t selected by mask (nil = all
+// rows, otherwise mask must have t's row count), grouped by groupBy when
+// non-empty.
+func NewBitmapAgg(t *colstore.Table, mask *wah.Bitmap, groupBy string, aggs []Agg, parallelism int) (*BitmapAgg, error) {
+	if len(aggs) == 0 {
+		return nil, fmt.Errorf("colquery: GROUP BY requires aggregates")
 	}
-	return ta, nil
+	if mask != nil && mask.Len() != t.NumRows() {
+		return nil, fmt.Errorf("colquery: aggregate mask has %d bits, table %q has %d rows", mask.Len(), t.Name(), t.NumRows())
+	}
+	b := &BitmapAgg{nrows: t.NumRows(), mask: mask, aggs: append([]Agg(nil), aggs...), parallelism: parallelism}
+	if groupBy != "" {
+		g, err := t.Column(groupBy)
+		if err != nil {
+			return nil, err
+		}
+		b.group = g
+		b.cols = append(b.cols, groupBy)
+	}
+	for _, a := range aggs {
+		var c *colstore.Column
+		if a.Func != Count {
+			var err error
+			if c, err = t.Column(a.Column); err != nil {
+				return nil, err
+			}
+		}
+		b.aggCols = append(b.aggCols, c)
+		b.cols = append(b.cols, a.name())
+	}
+	return b, nil
 }
 
-func (ta *tableAggregate) Columns() []string { return ta.cols }
-func (ta *tableAggregate) Open() error       { ta.done = false; return nil }
-func (ta *tableAggregate) Close() error      { return nil }
+// Columns implements Operator.
+func (b *BitmapAgg) Columns() []string { return b.cols }
 
-func (ta *tableAggregate) Next() ([][]string, error) {
-	if ta.done {
+// Open implements Operator.
+func (b *BitmapAgg) Open() error { b.done = false; return nil }
+
+// Close implements Operator.
+func (b *BitmapAgg) Close() error { return nil }
+
+// Next implements Operator.
+func (b *BitmapAgg) Next() ([][]string, error) {
+	if b.done {
 		return nil, nil
 	}
-	ta.done = true
-	var rs *ResultSet
-	var err error
-	if ta.q.GroupBy != "" {
-		rs, err = runGrouped(ta.t, ta.q, ta.mask)
-	} else {
-		rs, err = runAggregates(ta.t, ta.q, ta.mask)
+	b.done = true
+	if b.group == nil {
+		row, err := b.aggregate(b.mask, b.parallelism)
+		if err != nil {
+			return nil, err
+		}
+		return [][]string{row}, nil
 	}
-	if err != nil {
+	rows := make([][]string, b.group.DistinctCount())
+	if err := par.ForEachErr(len(rows), b.parallelism, func(id int) error {
+		gm := b.group.BitmapForID(uint32(id))
+		if b.mask != nil {
+			gm = wah.And(gm, b.mask)
+		}
+		if !gm.Any() {
+			return nil
+		}
+		// Serial per-value aggregation: the group fan-out already
+		// occupies the worker budget.
+		row, err := b.aggregate(gm, 1)
+		if err != nil {
+			return err
+		}
+		rows[id] = append([]string{b.group.Dict().Value(uint32(id))}, row...)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return rs.Rows, nil
+	out := rows[:0]
+	for _, row := range rows {
+		if row != nil {
+			out = append(out, row)
+		}
+	}
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
+}
+
+// aggregate evaluates every aggregate over the rows in mask (nil = all
+// rows). The per-value compressed ANDs, the dominant cost, fan out over
+// the worker pool; the fold into aggState stays serial in id order.
+// SUM/AVG need each value's hit count; the others only whether it has a
+// hit, which Any answers without counting.
+func (b *BitmapAgg) aggregate(mask *wah.Bitmap, parallelism int) ([]string, error) {
+	row := make([]string, len(b.aggs))
+	for i, a := range b.aggs {
+		var st aggState
+		if a.Func == Count {
+			n := b.nrows
+			if mask != nil {
+				n = mask.Count()
+			}
+			if err := st.add(a, "", n); err != nil {
+				return nil, err
+			}
+		} else {
+			col := b.aggCols[i]
+			hits := par.Map(col.DistinctCount(), parallelism, func(id int) uint64 {
+				bm := col.BitmapForID(uint32(id))
+				if mask != nil {
+					bm = wah.And(bm, mask)
+				}
+				if a.Func == Sum || a.Func == Avg {
+					return bm.Count()
+				}
+				if bm.Any() {
+					return 1
+				}
+				return 0
+			})
+			for id, n := range hits {
+				if n == 0 {
+					continue
+				}
+				if err := st.add(a, col.Dict().Value(uint32(id)), n); err != nil {
+					return nil, err
+				}
+			}
+		}
+		v, err := st.result(a)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
 }
 
 func columnIndex(cols []string) map[string]int {

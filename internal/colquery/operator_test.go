@@ -273,11 +273,14 @@ func TestHashJoinErrors(t *testing.T) {
 }
 
 func TestGroupAggParityWithBitmapPath(t *testing.T) {
+	// big occurs three times, so BitmapAgg's value×count product 3·2^62
+	// exceeds int64 while every sum stays in range.
+	big := strconv.FormatInt(1<<62, 10)
 	rows := [][]string{
-		{"east", "10"}, {"west", "-3"}, {"east", "7"},
-		{"north", "0"}, {"west", "-3"}, {"east", "10"},
+		{"east", "10"}, {"west", "-3"}, {"east", "7"}, {"east", big}, {"east", big},
+		{"north", "0"}, {"west", "-3"}, {"east", "10"}, {"east", big}, {"east", "-" + big}, {"east", "-" + big},
 	}
-	tab := segTable(t, "T", []string{"G", "V"}, rows[:3], rows[3:])
+	tab := segTable(t, "T", []string{"G", "V"}, rows[:5], rows[5:])
 	aggs := []Agg{
 		{Func: Count},
 		{Func: Sum, Column: "V"},
@@ -286,27 +289,60 @@ func TestGroupAggParityWithBitmapPath(t *testing.T) {
 		{Func: Max, Column: "V"},
 		{Func: CountDistinct, Column: "V"},
 	}
-	for _, groupBy := range []string{"", "G"} {
-		want, err := Run(tab, Query{GroupBy: groupBy, Aggregates: aggs})
-		if err != nil {
-			t.Fatal(err)
+	masks := []struct {
+		name string
+		m    *wah.Bitmap
+	}{
+		{"all rows", nil},
+		// Keeps row 0, so the groups' first appearance in the scan still
+		// follows dictionary order; drops north and one row each of the
+		// other groups.
+		{"masked", mask(t, uint64(len(rows)), 0, 1, 3, 4, 8, 9, 10)},
+	}
+	for _, mc := range masks {
+		for _, groupBy := range []string{"", "G"} {
+			b, err := NewBitmapAgg(tab, mc.m, groupBy, aggs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Collect(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := NewTableScan(tab, nil, mc.m, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := NewGroupAgg(scan, groupBy, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s, groupBy=%q: row-wise %v %v, bitmap %v %v",
+					mc.name, groupBy, got.Columns, got.Rows, want.Columns, want.Rows)
+			}
 		}
-		scan, err := NewTableScan(tab, nil, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewGroupAgg(scan, groupBy, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Collect(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("groupBy=%q: row-wise %v %v, bitmap path %v %v",
-				groupBy, got.Columns, got.Rows, want.Columns, want.Rows)
-		}
+	}
+}
+
+func TestBitmapAggErrors(t *testing.T) {
+	tab := segTable(t, "T", []string{"G", "V"}, [][]string{{"a", "1"}})
+	if _, err := NewBitmapAgg(tab, nil, "G", nil, 0); err == nil {
+		t.Fatal("GROUP BY without aggregates accepted")
+	}
+	want := `colstore: table "T" has no column "Nope"`
+	if _, err := NewBitmapAgg(tab, nil, "Nope", []Agg{{Func: Count}}, 0); err == nil || err.Error() != want {
+		t.Fatalf("unknown group column: err = %v, want %s", err, want)
+	}
+	if _, err := NewBitmapAgg(tab, nil, "", []Agg{{Func: Sum, Column: "Nope"}}, 0); err == nil || err.Error() != want {
+		t.Fatalf("unknown aggregate column: err = %v, want %s", err, want)
+	}
+	if _, err := NewBitmapAgg(tab, mask(t, 2), "", []Agg{{Func: Count}}, 0); err == nil {
+		t.Fatal("wrong-length mask accepted")
 	}
 }
 
@@ -497,4 +533,25 @@ func TestSemiJoinMask(t *testing.T) {
 			t.Fatalf("mask length %d, want %d", m.Len(), fact.NumRows())
 		}
 	})
+}
+
+// valueLess must be a strict weak ordering on any value mix: irreflexive,
+// asymmetric, and transitive — exhaustively checked over a hostile pool.
+func TestValueLessStrictWeakOrdering(t *testing.T) {
+	pool := []string{"", "0", "-1", "9", "10", "10x", "9z", "abc", "-2x", "00", " 7"}
+	for _, a := range pool {
+		if valueLess(a, a) {
+			t.Errorf("valueLess(%q, %q) must be false", a, a)
+		}
+		for _, b := range pool {
+			if valueLess(a, b) && valueLess(b, a) {
+				t.Errorf("valueLess asymmetry violated on %q, %q", a, b)
+			}
+			for _, c := range pool {
+				if valueLess(a, b) && valueLess(b, c) && !valueLess(a, c) && a != c {
+					t.Errorf("transitivity violated: %q < %q < %q but not %q < %q", a, b, c, a, c)
+				}
+			}
+		}
+	}
 }

@@ -1,4 +1,4 @@
-package colquery
+package colquery_test
 
 import (
 	"fmt"
@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"cods/internal/colquery"
 	"cods/internal/colstore"
+	"cods/internal/plan"
 )
 
 func oneColumnTable(t *testing.T, name string, values []string) *colstore.Table {
@@ -34,7 +36,7 @@ func oneColumnTable(t *testing.T, name string, values []string) *colstore.Table 
 // numerically before all non-integers.
 func TestOrderByMixedNumericAndStrings(t *testing.T) {
 	tab := oneColumnTable(t, "V", []string{"10x", "9", "abc", "10", "2", "9z"})
-	rs, err := Run(tab, Query{OrderBy: "V"})
+	rs, err := run(tab, plan.Query{OrderBy: "V"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,36 +49,15 @@ func TestOrderByMixedNumericAndStrings(t *testing.T) {
 		t.Fatalf("ORDER BY mixed = %v, want %v", got, want)
 	}
 
-	rs, err = Run(tab, Query{Aggregates: []Agg{
-		{Func: Min, Column: "V"},
-		{Func: Max, Column: "V"},
+	rs, err = run(tab, plan.Query{Aggregates: []colquery.Agg{
+		{Func: colquery.Min, Column: "V"},
+		{Func: colquery.Max, Column: "V"},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rs.Rows[0], []string{"2", "abc"}) {
 		t.Fatalf("MIN/MAX mixed = %v, want [2 abc]", rs.Rows[0])
-	}
-}
-
-// valueLess must be a strict weak ordering on any value mix: irreflexive,
-// asymmetric, and transitive — exhaustively checked over a hostile pool.
-func TestValueLessStrictWeakOrdering(t *testing.T) {
-	pool := []string{"", "0", "-1", "9", "10", "10x", "9z", "abc", "-2x", "00", " 7"}
-	for _, a := range pool {
-		if valueLess(a, a) {
-			t.Errorf("valueLess(%q, %q) must be false", a, a)
-		}
-		for _, b := range pool {
-			if valueLess(a, b) && valueLess(b, a) {
-				t.Errorf("valueLess asymmetry violated on %q, %q", a, b)
-			}
-			for _, c := range pool {
-				if valueLess(a, b) && valueLess(b, c) && !valueLess(a, c) && a != c {
-					t.Errorf("transitivity violated: %q < %q < %q but not %q < %q", a, b, c, a, c)
-				}
-			}
-		}
 	}
 }
 
@@ -94,8 +75,8 @@ func TestSumAvgOverflow(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tab := oneColumnTable(t, "V", c.values)
-			for _, f := range []AggFunc{Sum, Avg} {
-				_, err := Run(tab, Query{Aggregates: []Agg{{Func: f, Column: "V"}}})
+			for _, f := range []colquery.AggFunc{colquery.Sum, colquery.Avg} {
+				_, err := run(tab, plan.Query{Aggregates: []colquery.Agg{{Func: f, Column: "V"}}})
 				if err == nil {
 					t.Fatalf("%s over %v returned no error, want overflow", f, c.values)
 				}
@@ -108,7 +89,7 @@ func TestSumAvgOverflow(t *testing.T) {
 
 	// The boundary itself is representable and must still work.
 	tab := oneColumnTable(t, "V", []string{fmt.Sprint(int64(math.MaxInt64) - 1), "1"})
-	rs, err := Run(tab, Query{Aggregates: []Agg{{Func: Sum, Column: "V"}}})
+	rs, err := run(tab, plan.Query{Aggregates: []colquery.Agg{{Func: colquery.Sum, Column: "V"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +110,7 @@ func TestSumAvgOverflow(t *testing.T) {
 		{big, big, fmt.Sprint(int64(math.MinInt64)), fmt.Sprint(int64(math.MinInt64))},
 	} {
 		tab := oneColumnTable(t, "V", values)
-		rs, err := Run(tab, Query{Aggregates: []Agg{{Func: Sum, Column: "V"}}})
+		rs, err := run(tab, plan.Query{Aggregates: []colquery.Agg{{Func: colquery.Sum, Column: "V"}}})
 		if err != nil {
 			t.Fatalf("sum over %v: %v (transient overflow must not error)", values, err)
 		}

@@ -259,30 +259,6 @@ func TestCompactSegmentsPreservesContent(t *testing.T) {
 	}
 }
 
-func TestWithSegmentsReplacedVerifiesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	rows := randomRows(rng, 60)
-	_, segd := buildPair(t, rows, []int{20, 40})
-	segs := segd.Segments()
-	merged, err := MergeSegments(segs[1:], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Matching run splices.
-	nt, ok := segd.WithSegmentsReplaced(1, segs[1:], merged)
-	if !ok || nt.NumSegments() != 2 {
-		t.Fatalf("splice failed: ok=%v segments=%d", ok, nt.NumSegments())
-	}
-	// A run that is no longer in place (wrong position, or stale pointers
-	// after another splice) must be rejected.
-	if _, ok := segd.WithSegmentsReplaced(0, segs[1:], merged); ok {
-		t.Fatal("splice at wrong position accepted")
-	}
-	if _, ok := nt.WithSegmentsReplaced(1, segs[1:], merged); ok {
-		t.Fatal("stale run accepted after earlier splice")
-	}
-}
-
 func TestFlushSizedSegmentsStayLogarithmic(t *testing.T) {
 	// Simulate repeated flush (append a threshold-sized tail) + merge
 	// policy; the segment count must stay O(log n), which is the whole

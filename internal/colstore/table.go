@@ -228,40 +228,6 @@ func (t *Table) WithTailSegment(seg *Segment) (*Table, error) {
 	return nt, nil
 }
 
-// WithSegmentsReplaced splices merged over the run t.segs[start:start+
-// len(verify)], provided that run is still pointer-identical to verify —
-// the check that a merge computed against the segments it read publishes
-// only while those segments are still the ones in place. Returns ok=false
-// (and the receiver) when the run has changed or is out of range. merged
-// must cover the same rows as the run it replaces.
-func (t *Table) WithSegmentsReplaced(start int, verify []*Segment, merged *Segment) (*Table, bool) {
-	if start < 0 || len(verify) == 0 || start+len(verify) > len(t.segs) {
-		return t, false
-	}
-	var run uint64
-	for i, s := range verify {
-		if t.segs[start+i] != s {
-			return t, false
-		}
-		run += s.nrows
-	}
-	if merged.nrows != run || sameSchema(t.schema, merged) != nil {
-		return t, false
-	}
-	segs := make([]*Segment, 0, len(t.segs)-len(verify)+1)
-	segs = append(segs, t.segs[:start]...)
-	segs = append(segs, merged)
-	segs = append(segs, t.segs[start+len(verify):]...)
-	nt, err := newSegmented(t.name, t.schema, t.key, segs)
-	if err != nil {
-		return t, false
-	}
-	// A merge preserves both row order and stitched dictionary order, so
-	// whole-table column views are unchanged — share the cache.
-	nt.flat = t.flat
-	return nt, true
-}
-
 // CompactSegments applies the tiered merge policy (MergeTailPlan) once:
 // when the tail violates the size-ratio invariant it merges that run in
 // place and returns the new table, otherwise it returns the receiver
@@ -275,10 +241,18 @@ func (t *Table) CompactSegments(ratio, parallelism int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt, ok := t.WithSegmentsReplaced(start, t.segs[start:], merged)
-	if !ok {
-		return nil, fmt.Errorf("colstore: table %q segment merge splice failed", t.name)
+	if run := t.nrows - t.offsets[start]; merged.nrows != run {
+		return nil, fmt.Errorf("colstore: table %q merged %d rows into %d", t.name, run, merged.nrows)
 	}
+	// newSegmented rejects a merged segment whose schema differs.
+	segs := append(append(make([]*Segment, 0, start+1), t.segs[:start]...), merged)
+	nt, err := newSegmented(t.name, t.schema, t.key, segs)
+	if err != nil {
+		return nil, err
+	}
+	// A merge preserves both row order and stitched dictionary order, so
+	// whole-table column views are unchanged — share the cache.
+	nt.flat = t.flat
 	return nt, nil
 }
 

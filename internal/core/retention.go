@@ -72,26 +72,29 @@ func (e *Engine) pruneLocked(keepLast int) int {
 // MemStats is a lock-free gauge snapshot of the engine's memory-pressure
 // sources: how many catalog versions are retained for Rollback, how many
 // delta-overlay rows are pending compaction in the published catalog,
-// and how many compactions have run (manual, checkpoint-driven, or
-// automatic). Safe to call at any time — it never takes the writer
-// mutex, so /stats answers even while an evolution is mid-operator.
+// and how many compactions and segment merges have run. Safe to call at
+// any time — it never takes the writer mutex, so GET /stats (which
+// serves it as its "memory" object, hence the JSON tags) answers even
+// while an evolution or checkpoint is mid-operator.
 type MemStats struct {
 	// RetainedVersions counts catalog snapshots currently kept for
 	// Rollback (the current version included).
-	RetainedVersions int
-	// OldestRetained is the oldest schema version Rollback can restore.
-	OldestRetained int
+	RetainedVersions int `json:"retained_versions"`
+	// OldestRetainedVersion is the oldest schema version Rollback can
+	// restore.
+	OldestRetainedVersion int `json:"oldest_retained_version"`
 	// PendingRows totals appended rows plus deletion marks across every
 	// table's delta overlay in the published catalog.
-	PendingRows uint64
-	// Compactions counts overlay compactions since the engine started.
-	Compactions uint64
+	PendingRows uint64 `json:"pending_rows"`
+	// Compactions counts overlay compactions (explicit, checkpoint, or
+	// automatic) since the engine started.
+	Compactions uint64 `json:"compactions"`
 	// SegmentMerges counts tiered segment merges since the engine started
 	// (post-flush and post-evolution).
-	SegmentMerges uint64
+	SegmentMerges uint64 `json:"segment_merges"`
 	// Tables holds per-table segment gauges for the published catalog,
 	// sorted by table name.
-	Tables []TableSegments
+	Tables []TableSegments `json:"tables"`
 }
 
 // TableSegments is one table's segment-layout gauge: how many base
@@ -100,12 +103,13 @@ type MemStats struct {
 // normal tiered layout) means the merge policy is not keeping up.
 type TableSegments struct {
 	// Table is the table name.
-	Table string
+	Table string `json:"table"`
 	// Segments is the number of base segments.
-	Segments int
+	Segments int `json:"segments"`
 	// MinRows and MaxRows bound the per-segment row counts. Both are 0
 	// for an empty table.
-	MinRows, MaxRows uint64
+	MinRows uint64 `json:"min_rows"`
+	MaxRows uint64 `json:"max_rows"`
 }
 
 // MemStats returns the current memory-pressure gauges, lock-free: the
@@ -113,10 +117,10 @@ type TableSegments struct {
 // published catalog, so no writer lock is needed even mid-evolution.
 func (e *Engine) MemStats() MemStats {
 	ms := MemStats{
-		RetainedVersions: int(e.retained.Load()),
-		OldestRetained:   int(e.oldestGauge.Load()),
-		Compactions:      e.compactions.Load(),
-		SegmentMerges:    e.merges.Load(),
+		RetainedVersions:      int(e.retained.Load()),
+		OldestRetainedVersion: int(e.oldestGauge.Load()),
+		Compactions:           e.compactions.Load(),
+		SegmentMerges:         e.merges.Load(),
 	}
 	cat := e.Catalog()
 	for name, ov := range cat.tables {

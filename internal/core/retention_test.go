@@ -33,7 +33,7 @@ func TestPruneRetiresRollbackTargets(t *testing.T) {
 		t.Fatalf("Prune(3) retired %d versions, want 7 (0..6)", n)
 	}
 	ms := e.MemStats()
-	if ms.RetainedVersions != 4 || ms.OldestRetained != 7 {
+	if ms.RetainedVersions != 4 || ms.OldestRetainedVersion != 7 {
 		t.Fatalf("MemStats after prune = %+v, want 4 retained from v7", ms)
 	}
 	// Re-pruning with a wider window must not resurrect anything and
@@ -82,8 +82,8 @@ func TestRetainVersionsBoundsSnapshotsContinuously(t *testing.T) {
 			t.Fatalf("after statement %d: %d retained versions, want <= 3", i, got)
 		}
 	}
-	if ms := e.MemStats(); ms.OldestRetained != e.Version()-2 {
-		t.Fatalf("oldest retained = %d, want %d", ms.OldestRetained, e.Version()-2)
+	if ms := e.MemStats(); ms.OldestRetainedVersion != e.Version()-2 {
+		t.Fatalf("oldest retained = %d, want %d", ms.OldestRetainedVersion, e.Version()-2)
 	}
 	// Rollback inside the window works and the window slides with it.
 	if err := e.Rollback(e.Version() - 1); err != nil {
@@ -116,7 +116,7 @@ func TestPruneStatementThroughApply(t *testing.T) {
 	if len(res.Steps) == 0 || !strings.Contains(res.Steps[0], "rollback window") {
 		t.Fatalf("PRUNE steps = %v", res.Steps)
 	}
-	if ms := e.MemStats(); ms.RetainedVersions != 2 || ms.OldestRetained != v-1 {
+	if ms := e.MemStats(); ms.RetainedVersions != 2 || ms.OldestRetainedVersion != v-1 {
 		t.Fatalf("MemStats after PRUNE KEEP 1 = %+v", ms)
 	}
 	if err := e.Rollback(0); !errors.Is(err, ErrVersionPruned) {

@@ -6,12 +6,14 @@
 // cardinality (dictionary distinct counts over segment row counts — the
 // statistics colstore.Column.Stats exposes), join keys shared between a
 // fact scan and a dimension are pre-reduced by a WAH semi-join that
-// never decodes a row. Single-table queries delegate to colquery.Run
-// unchanged.
+// never decodes a row. Every query is planned here, joined or not; one
+// with no joins keeps its table's bitmap index to the end, so its
+// aggregates run as a colquery.BitmapAgg leaf that decodes no row.
 package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cods/internal/colquery"
@@ -28,10 +30,10 @@ type Join struct {
 	On    []string
 }
 
-// Query is a multi-table query. With no Joins it is exactly a
-// colquery.Query against From; with Joins, Select/Where/GroupBy/OrderBy
-// refer to the joined output's columns (each name must be unambiguous —
-// On columns merge, any other shared name is an error).
+// Query is a query over From and any Joins. Select/Where/GroupBy/OrderBy
+// refer to the joined output's columns, which with no Joins are From's
+// own (each name must be unambiguous — On columns merge, any other
+// shared name is an error).
 type Query struct {
 	// Select lists projected columns; empty selects all columns of the
 	// joined output in written order (From's schema, then each join's
@@ -53,7 +55,8 @@ type Query struct {
 	OrderBy string
 	// Desc reverses the order.
 	Desc bool
-	// Limit caps the number of output rows; 0 means no limit.
+	// Limit caps the number of output rows; 0 means no limit, and a
+	// negative value is an error.
 	Limit int
 	// Parallelism bounds per-distinct-value fan-out; 0 means GOMAXPROCS.
 	Parallelism int
@@ -69,16 +72,8 @@ type Resolver func(name string) (*colstore.Table, error)
 
 // Run plans and executes q.
 func Run(resolve Resolver, q Query) (*colquery.ResultSet, error) {
-	if len(q.Joins) == 0 {
-		t, err := resolve(q.From)
-		if err != nil {
-			return nil, err
-		}
-		return colquery.Run(t, colquery.Query{
-			Select: q.Select, Where: q.Where, GroupBy: q.GroupBy,
-			Aggregates: q.Aggregates, OrderBy: q.OrderBy, Desc: q.Desc,
-			Limit: q.Limit, Parallelism: q.Parallelism,
-		})
+	if q.Limit < 0 {
+		return nil, fmt.Errorf("plan: LIMIT must not be negative, got %d", q.Limit)
 	}
 	tables := make([]*colstore.Table, 1+len(q.Joins))
 	var err error
@@ -93,6 +88,9 @@ func Run(resolve Resolver, q Query) (*colquery.ResultSet, error) {
 	conjuncts, err := splitWhere(q.Where)
 	if err != nil {
 		return nil, err
+	}
+	if q.GroupBy != "" && len(q.Aggregates) == 0 {
+		return nil, fmt.Errorf("colquery: GROUP BY requires aggregates")
 	}
 	root, err := assemble(q, tables, conjuncts, makeSpec(q, tables, conjuncts))
 	if err != nil {
@@ -189,8 +187,14 @@ func makeSpec(q Query, tables []*colstore.Table, conjuncts []expr.Node) *spec {
 // column of the conjunct, or residual. Written order (From first) makes
 // the choice deterministic when On columns exist on both sides — both
 // scans see identical values for them, so either choice is correct and
-// the earlier, usually larger, side benefits more from the bitmap.
+// the earlier, usually larger, side benefits more from the bitmap. With
+// no joins there is nothing to filter above, so every conjunct lands on
+// the one scan, whose bitmap evaluation rejects an unknown column with
+// the table's own error.
 func pushTarget(c expr.Node, tables []*colstore.Table) int {
+	if len(tables) == 1 {
+		return 0
+	}
 	cols := c.Columns(nil)
 	for slot, t := range tables {
 		all := true
@@ -231,7 +235,7 @@ func estimateRows(t *colstore.Table, slot int, pushed []int, conjuncts []expr.No
 	return est
 }
 
-// assemble builds the operator tree for a planned join query.
+// assemble builds the operator tree for a planned query.
 func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec) (colquery.Operator, error) {
 	masks := make([]*wah.Bitmap, len(tables))
 	for slot, t := range tables {
@@ -245,6 +249,31 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 		}
 		masks[slot] = m
 	}
+	var root colquery.Operator
+	var err error
+	switch {
+	case len(q.Joins) > 0:
+		root, err = joinTree(q, tables, conjuncts, sp, masks)
+	case len(q.Aggregates) > 0:
+		root, err = colquery.NewBitmapAgg(tables[0], masks[0], q.GroupBy, q.Aggregates, q.Parallelism)
+	default:
+		root, err = colquery.NewTableScan(tables[0], q.Select, masks[0], q.Parallelism)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if q.OrderBy != "" || q.Limit > 0 {
+		if root, err = colquery.NewOrderLimit(root, q.OrderBy, q.Desc, q.Limit); err != nil {
+			return nil, err
+		}
+	}
+	return root, nil
+}
+
+// joinTree builds the scans, hash joins, residual filter and aggregate
+// or projection of a query with joins; masks holds each slot's pushed
+// predicate bitmap (nil = no pushed conjunct).
+func joinTree(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec, masks []*wah.Bitmap) (colquery.Operator, error) {
 	// Semi-join reduction: for every join key that is also a From
 	// column, intersect From's scan mask with the bitmap of From rows
 	// whose key value survives on the dimension side. When the two
@@ -274,10 +303,7 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 			}
 		}
 	}
-	needed, starOrder, err := neededColumns(q, tables)
-	if err != nil {
-		return nil, err
-	}
+	needed, starOrder := neededColumns(q, tables, conjuncts)
 	provided := make(map[string]bool)
 	scanCols := func(t *colstore.Table, on []string) []string {
 		var cols []string
@@ -297,8 +323,8 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 		return cols
 	}
 	var root colquery.Operator
-	root, err = colquery.NewTableScan(tables[0], scanCols(tables[0], nil), masks[0], q.Parallelism)
-	if err != nil {
+	var err error
+	if root, err = colquery.NewTableScan(tables[0], scanCols(tables[0], nil), masks[0], q.Parallelism); err != nil {
 		return nil, err
 	}
 	for _, j := range sp.order {
@@ -315,26 +341,20 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 			return nil, err
 		}
 	}
-	switch {
-	case len(q.Aggregates) > 0:
+	if len(q.Aggregates) > 0 {
 		if root, err = colquery.NewGroupAgg(root, q.GroupBy, q.Aggregates); err != nil {
 			return nil, err
 		}
-	case q.GroupBy != "":
-		return nil, fmt.Errorf("colquery: GROUP BY requires aggregates")
-	default:
-		// Restore the declared output order: join reordering and
-		// key-first scans leave the stream in execution order.
-		want := q.Select
-		if len(want) == 0 {
-			want = starOrder
-		}
-		if root, err = colquery.NewProject(root, want); err != nil {
-			return nil, err
-		}
+		return root, nil
 	}
-	if q.OrderBy != "" || q.Limit > 0 {
-		if root, err = colquery.NewOrderLimit(root, q.OrderBy, q.Desc, q.Limit); err != nil {
+	// Restore the declared output order: join reordering and key-first
+	// scans can leave the stream in execution order.
+	want := q.Select
+	if len(want) == 0 {
+		want = starOrder
+	}
+	if !slices.Equal(root.Columns(), want) {
+		if root, err = colquery.NewProject(root, want); err != nil {
 			return nil, err
 		}
 	}
@@ -344,7 +364,7 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 // neededColumns computes the set of columns any operator consumes, and
 // the written-order star schema (From's columns, then each join's
 // non-key, not-yet-seen columns) used when Select is empty.
-func neededColumns(q Query, tables []*colstore.Table) (map[string]bool, []string, error) {
+func neededColumns(q Query, tables []*colstore.Table, conjuncts []expr.Node) (map[string]bool, []string) {
 	var star []string
 	seen := make(map[string]bool)
 	for _, c := range tables[0].ColumnNames() {
@@ -385,17 +405,13 @@ func neededColumns(q Query, tables []*colstore.Table) (map[string]bool, []string
 	if q.OrderBy != "" && len(q.Aggregates) == 0 {
 		add(q.OrderBy)
 	}
-	if q.Where != "" {
-		pred, err := expr.Parse(q.Where)
-		if err != nil {
-			return nil, nil, err
-		}
-		add(pred.Columns(nil)...)
+	for _, c := range conjuncts {
+		add(c.Columns(nil)...)
 	}
 	for _, j := range q.Joins {
 		add(j.On...)
 	}
-	return needed, star, nil
+	return needed, star
 }
 
 // splitWhere parses the predicate and splits its top-level AND chain

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cods/internal/colquery"
@@ -66,16 +67,93 @@ func starJoinFixture(t *testing.T) Resolver {
 func TestSingleTableDelegates(t *testing.T) {
 	tab := mkTable(t, "t", []string{"A", "B"},
 		[][]string{{"x", "1"}, {"y", "2"}, {"x", "3"}})
-	want, err := colquery.Run(tab, colquery.Query{Select: []string{"B"}, Where: "A = 'x'"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := Run(resolver(tab), Query{From: "t", Select: []string{"B"}, Where: "A = 'x'"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := &colquery.ResultSet{Columns: []string{"B"}, Rows: [][]string{{"1"}, {"3"}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// A single-table aggregate runs on the bitmap index (BitmapAgg); it must
+// answer exactly what the row-wise GroupAgg computes over a scan.
+func TestSingleTableAggregatesMatchRowwise(t *testing.T) {
+	tab := mkTable(t, "t", []string{"G", "V"}, [][]string{
+		{"east", "10"}, {"west", "-3"}, {"east", "7"},
+		{"north", "0"}, {"west", "-3"}, {"east", "10"},
+	})
+	aggs := []colquery.Agg{
+		{Func: colquery.Count},
+		{Func: colquery.Sum, Column: "V"},
+		{Func: colquery.Avg, Column: "V"},
+		{Func: colquery.Min, Column: "V"},
+		{Func: colquery.Max, Column: "V"},
+		{Func: colquery.CountDistinct, Column: "V"},
+	}
+	for _, groupBy := range []string{"", "G"} {
+		got, err := Run(resolver(tab), Query{From: "t", GroupBy: groupBy, Aggregates: aggs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := colquery.NewTableScan(tab, nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := colquery.NewGroupAgg(scan, groupBy, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := colquery.Collect(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("groupBy=%q: plan %+v, row-wise %+v", groupBy, got, want)
+		}
+	}
+}
+
+// With no joins there is no row filter above the scan to catch a WHERE
+// column the table lacks, and BitmapAgg never sees a residual conjunct:
+// the conjunct must still fail, with the table's own error, rather than
+// be dropped.
+func TestUnknownColumnSingleTable(t *testing.T) {
+	tab := mkTable(t, "R", []string{"A", "B"},
+		[][]string{{"x", "1"}, {"y", "2"}, {"x", "3"}})
+	count := []colquery.Agg{{Func: colquery.Count}}
+	cases := []struct {
+		name string
+		q    Query
+	}{
+		{"global aggregate, where", Query{Aggregates: count, Where: "Nope = 'x'"}},
+		{"grouped aggregate, where", Query{Aggregates: count, GroupBy: "A", Where: "A = 'x' AND Nope = 'x'"}},
+		{"select, where", Query{Where: "Nope = 'x'"}},
+		{"select list", Query{Select: []string{"A", "Nope"}}},
+		{"group by", Query{Aggregates: count, GroupBy: "Nope"}},
+		{"aggregate column", Query{Aggregates: []colquery.Agg{{Func: colquery.Sum, Column: "Nope"}}}},
+	}
+	want := `colstore: table "R" has no column "Nope"`
+	for _, c := range cases {
+		c.q.From = "R"
+		rs, err := Run(resolver(tab), c.q)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: rs = %+v, err = %v, want %s", c.name, rs, err, want)
+		}
+	}
+}
+
+func TestNegativeLimit(t *testing.T) {
+	tab := mkTable(t, "t", []string{"A"}, [][]string{{"x"}, {"y"}})
+	_, err := Run(resolver(tab), Query{From: "t", Limit: -1})
+	if err == nil || !strings.Contains(err.Error(), "-1") {
+		t.Fatalf("LIMIT -1: err = %v, want an error naming -1", err)
+	}
+	// 0 still means unlimited.
+	rs, err := Run(resolver(tab), Query{From: "t"})
+	if err != nil || len(rs.Rows) != 2 {
+		t.Fatalf("LIMIT 0: rs = %+v, err = %v, want both rows", rs, err)
 	}
 }
 

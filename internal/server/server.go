@@ -602,29 +602,6 @@ type EndpointStats struct {
 	LastError bool    `json:"last_error"`
 }
 
-// MemoryStats are the write path's memory-pressure gauges in GET /stats:
-// how many schema versions retention keeps for Rollback, how many delta-
-// overlay rows await compaction, how many compactions and tiered segment
-// merges have run, and each table's segment layout. They come from
-// DB.MemStats, which is lock-free, so the probe answers even while an
-// evolution or checkpoint holds the write path.
-type MemoryStats struct {
-	RetainedVersions      int             `json:"retained_versions"`
-	OldestRetainedVersion int             `json:"oldest_retained_version"`
-	PendingRows           uint64          `json:"pending_rows"`
-	Compactions           uint64          `json:"compactions"`
-	SegmentMerges         uint64          `json:"segment_merges"`
-	Tables                []TableSegments `json:"tables"`
-}
-
-// TableSegments is one table's segment-layout gauge in GET /stats.
-type TableSegments struct {
-	Table    string `json:"table"`
-	Segments int    `json:"segments"`
-	MinRows  uint64 `json:"min_rows"`
-	MaxRows  uint64 `json:"max_rows"`
-}
-
 // TableColumnStats is one table's planner statistics in GET /stats:
 // the row count plus each column's cardinality inputs (the numbers the
 // query planner's join ordering and selectivity estimates run on).
@@ -651,34 +628,19 @@ type StatsResponse struct {
 	SchemaVersion int                      `json:"schema_version"`
 	InFlight      int64                    `json:"in_flight"`
 	MaxInFlight   int                      `json:"max_in_flight"`
-	Memory        MemoryStats              `json:"memory"`
+	Memory        cods.MemStats            `json:"memory"`
 	TableStats    []TableColumnStats       `json:"table_stats,omitempty"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) *httpError {
-	ms := s.db.MemStats()
 	resp := StatsResponse{
 		UptimeMS:      float64(time.Since(s.start).Microseconds()) / 1000,
 		SchemaVersion: s.db.Version(),
 		InFlight:      s.inFlight.Load(),
 		MaxInFlight:   s.cfg.MaxInFlight,
-		Memory: MemoryStats{
-			RetainedVersions:      ms.RetainedVersions,
-			OldestRetainedVersion: ms.OldestRetainedVersion,
-			PendingRows:           ms.PendingRows,
-			Compactions:           ms.Compactions,
-			SegmentMerges:         ms.SegmentMerges,
-		},
-		Endpoints: make(map[string]EndpointStats, len(s.stats)),
-	}
-	for _, t := range ms.Tables {
-		resp.Memory.Tables = append(resp.Memory.Tables, TableSegments{
-			Table:    t.Table,
-			Segments: t.Segments,
-			MinRows:  t.MinRows,
-			MaxRows:  t.MaxRows,
-		})
+		Memory:        s.db.MemStats(),
+		Endpoints:     make(map[string]EndpointStats, len(s.stats)),
 	}
 	// One snapshot for the whole listing, so the per-table statistics
 	// describe a single schema version even under concurrent evolutions.

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +128,7 @@ func TestQueryErrors(t *testing.T) {
 		{"bad where", QueryRequest{Table: "emp", Where: "Skill ="}, http.StatusBadRequest},
 		{"bad aggregate", QueryRequest{Table: "emp", Aggregates: []AggSpec{{Func: "median"}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"table": "emp", "nonsense": 1}, http.StatusBadRequest},
+		{"negative limit", QueryRequest{Table: "emp", Limit: -1}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, raw := postJSON(t, ts.URL+"/query", c.req)
@@ -851,6 +854,60 @@ func TestStatsMemoryGauges(t *testing.T) {
 	if st.Memory.OldestRetainedVersion == 0 {
 		t.Fatalf("oldest_retained_version = 0, want pruned forward (memory = %+v)", st.Memory)
 	}
+
+	// The "memory" object's keys, in order, are part of the wire format.
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	var mem struct {
+		Tables []json.RawMessage `json:"tables"`
+	}
+	if err := json.Unmarshal(top["memory"], &mem); err != nil {
+		t.Fatal(err)
+	}
+	wantMem := []string{"retained_versions", "oldest_retained_version", "pending_rows", "compactions", "segment_merges", "tables"}
+	if got := objectKeys(t, top["memory"]); !reflect.DeepEqual(got, wantMem) {
+		t.Fatalf("memory keys = %v, want %v", got, wantMem)
+	}
+	if len(mem.Tables) != 1 {
+		t.Fatalf("memory.tables = %d entries, want 1", len(mem.Tables))
+	}
+	wantTable := []string{"table", "segments", "min_rows", "max_rows"}
+	if got := objectKeys(t, mem.Tables[0]); !reflect.DeepEqual(got, wantTable) {
+		t.Fatalf("memory.tables[0] keys = %v, want %v", got, wantTable)
+	}
+}
+
+// objectKeys returns a JSON object's top-level keys in wire order.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // GET /history pages the executed-operator log from the tail: the
