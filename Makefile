@@ -36,7 +36,7 @@ test-shuffle:
 # the DML delta overlay (lazy flush caching racing concurrent readers),
 # the segmented persistence layer, the SMO parser the WAL replays through,
 # the public facade (lock-free reads racing Exec and DML, plus the
-# segmented-vs-rebuild property test), the HTTP serving layer (concurrent
+# property test against the row model), the HTTP serving layer (concurrent
 # requests racing evolutions), and the HTAP workload driver (worker
 # goroutines racing the background SMO stream). CI runs this target, so
 # the list lives here only.

@@ -677,14 +677,10 @@ func BenchmarkHarnessSmoke(b *testing.B) {
 // BenchmarkHugeTableSustainedWrites is the segmentation acceptance
 // benchmark: the same sustained keyed write stream as
 // BenchmarkSustainedKeyedWrites, but over a large pre-existing base
-// table, in two flush modes. "segmented" is the production write path —
-// an overlay flush seals only the appended tail into a new segment, so
-// per-statement cost must stay flat as the base grows. "rebuild" forces
-// the pre-segmentation monolithic flush (Config.RebuildOnFlush): every
-// auto-compaction rewrites the whole base, so cost grows linearly with
-// base size. Run with a fixed -benchtime=Nx so ns/op is comparable
-// across base sizes; scripts/bench_writes.sh records the series in
-// BENCH_writes.json. The 10M-row point is gated behind CODS_BENCH_HUGE=1
+// table. An overlay flush seals only the appended tail into a new
+// segment, so per-statement cost must stay flat as the base grows. Run
+// with a fixed -benchtime=Nx so ns/op is comparable across base sizes;
+// scripts/bench_writes.sh records the series in BENCH_writes.json. The 10M-row point is gated behind CODS_BENCH_HUGE=1
 // (it needs several GB of RAM).
 func BenchmarkHugeTableSustainedWrites(b *testing.B) {
 	bases := []struct {
@@ -701,43 +697,39 @@ func BenchmarkHugeTableSustainedWrites(b *testing.B) {
 		}{"base10M", 10_000_000})
 	}
 	for _, base := range bases {
-		for _, mode := range []string{"segmented", "rebuild"} {
-			b.Run(base.name+"/"+mode, func(b *testing.B) {
-				cfg := cods.Config{RetainVersions: 8, AutoCompactPending: 2048}
-				cfg.RebuildOnFlush = mode == "rebuild"
-				db := cods.Open(cfg)
-				// Build the base outside the timed region. Keys are
-				// non-integer ('k…') so key probes take the per-segment
-				// dictionary fast path, exactly like production keys.
-				tb := make([][]string, base.rows)
-				for i := range tb {
-					tb[i] = []string{fmt.Sprintf("k%08d", i), fmt.Sprintf("v%d", i%100)}
-				}
-				if err := db.CreateTableFromRows("kv", []string{"K", "V"}, []string{"K"}, tb); err != nil {
+		b.Run(base.name+"/segmented", func(b *testing.B) {
+			db := cods.Open(cods.Config{RetainVersions: 8, AutoCompactPending: 2048})
+			// Build the base outside the timed region. Keys are
+			// non-integer ('k…') so key probes take the per-segment
+			// dictionary fast path, exactly like production keys.
+			tb := make([][]string, base.rows)
+			for i := range tb {
+				tb[i] = []string{fmt.Sprintf("k%08d", i), fmt.Sprintf("v%d", i%100)}
+			}
+			if err := db.CreateTableFromRows("kv", []string{"K", "V"}, []string{"K"}, tb); err != nil {
+				b.Fatal(err)
+			}
+			tb = nil
+			// Collect the build garbage (and any previous sub-benchmark's
+			// heap) before timing: GC marking of a polluted multi-GB heap
+			// otherwise bleeds into ns/op and masks the flush cost being
+			// measured.
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec(fmt.Sprintf("INSERT INTO kv VALUES ('n%08d', 'v')", i)); err != nil {
 					b.Fatal(err)
 				}
-				tb = nil
-				// Collect the build garbage (and any previous sub-benchmark's
-				// heap) before timing: GC marking of a polluted multi-GB heap
-				// otherwise bleeds into ns/op and masks the flush cost being
-				// measured.
-				runtime.GC()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Exec(fmt.Sprintf("INSERT INTO kv VALUES ('n%08d', 'v')", i)); err != nil {
+				if i%100 == 99 {
+					if _, err := db.Exec(fmt.Sprintf("DELETE FROM kv WHERE K = 'n%08d'", i-50)); err != nil {
 						b.Fatal(err)
 					}
-					if i%100 == 99 {
-						if _, err := db.Exec(fmt.Sprintf("DELETE FROM kv WHERE K = 'n%08d'", i-50)); err != nil {
-							b.Fatal(err)
-						}
-					}
 				}
-				b.StopTimer()
-				ms := db.MemStats()
-				b.ReportMetric(float64(ms.Compactions), "flushes")
-			})
-		}
+			}
+			b.StopTimer()
+			ms := db.MemStats()
+			b.ReportMetric(float64(ms.Compactions), "flushes")
+		})
 	}
 }
 
@@ -748,9 +740,8 @@ func BenchmarkHugeTableSustainedWrites(b *testing.B) {
 // table R. "semi" is the production path — the dimension's predicate
 // bitmap is turned into a WAH semi-join mask over the fact scan without
 // decoding a row (the key columns share dictionary lineage, asserted
-// here); "generic" disables the reduction and probes every fact row
-// through the hash table; "scan" is the single-table baseline. All three
-// must return the same count. Run with -benchtime=10x for the
+// here); "scan" is the single-table baseline. Both must return the same
+// count. Run with -benchtime=10x for the
 // BENCH_joins.json series.
 func BenchmarkJoinDecomposedVsScan(b *testing.B) {
 	spec := workload.Spec{Rows: 1_000_000, DistinctKeys: 10_000, Seed: 1}
@@ -790,8 +781,6 @@ func BenchmarkJoinDecomposedVsScan(b *testing.B) {
 		{"scan", plan.Query{From: "R", Where: where, Aggregates: count}},
 		{"semi", plan.Query{From: "S", Joins: []plan.Join{{Table: "T", On: []string{"A"}}},
 			Where: where, Aggregates: count}},
-		{"generic", plan.Query{From: "S", Joins: []plan.Join{{Table: "T", On: []string{"A"}}},
-			Where: where, Aggregates: count, DisableSemiJoin: true}},
 	}
 	want := ""
 	for _, m := range modes {
@@ -820,66 +809,59 @@ func BenchmarkJoinDecomposedVsScan(b *testing.B) {
 // a flushed tail, the steady state the tiered merge policy converges to.
 // Each iteration inserts one row (so the evolution always sees a fresh
 // table — no memoized stitching survives between iterations), runs
-// DECOMPOSE, and rolls back. "segmentwise" is the production map/merge
-// evolution path; "rebuild" forces the pre-segmentation monolithic
-// algorithms (Config.RebuildEvolve), which stitch every input column
-// before evolving. The gap between the two is the win the segment-wise
-// fan-out buys on evolution latency. Run with -benchtime=20x for the
-// BENCH_writes.json "evolution" series.
+// DECOMPOSE through the segment-wise map/merge evolution path, and rolls
+// back. Run with -benchtime=20x for the BENCH_writes.json "evolution"
+// series.
 func BenchmarkEvolutionDecompose(b *testing.B) {
 	const baseRows = 990_000
 	const tailRows = 10_000
-	for _, mode := range []string{"segmentwise", "rebuild"} {
-		b.Run(mode, func(b *testing.B) {
-			cfg := cods.Config{RetainVersions: 8, SegmentMergeRatio: -1}
-			cfg.RebuildEvolve = mode == "rebuild"
-			db := cods.Open(cfg)
-			rows := make([][]string, baseRows)
-			for i := range rows {
-				g := i % 32
-				rows[i] = []string{fmt.Sprintf("k%08d", i), fmt.Sprintf("g%02d", g), fmt.Sprintf("d%d", g%7)}
-			}
-			if err := db.CreateTableFromRows("T", []string{"K", "G", "D"}, []string{"K"}, rows); err != nil {
+	b.Run("segmentwise", func(b *testing.B) {
+		db := cods.Open(cods.Config{RetainVersions: 8, SegmentMergeRatio: -1})
+		rows := make([][]string, baseRows)
+		for i := range rows {
+			g := i % 32
+			rows[i] = []string{fmt.Sprintf("k%08d", i), fmt.Sprintf("g%02d", g), fmt.Sprintf("d%d", g%7)}
+		}
+		if err := db.CreateTableFromRows("T", []string{"K", "G", "D"}, []string{"K"}, rows); err != nil {
+			b.Fatal(err)
+		}
+		rows = nil
+		for i := 0; i < tailRows; i++ {
+			g := i % 32
+			stmt := fmt.Sprintf("INSERT INTO T VALUES ('t%08d', 'g%02d', 'd%d')", i, g, g%7)
+			if _, err := db.Exec(stmt); err != nil {
 				b.Fatal(err)
 			}
-			rows = nil
-			for i := 0; i < tailRows; i++ {
-				g := i % 32
-				stmt := fmt.Sprintf("INSERT INTO T VALUES ('t%08d', 'g%02d', 'd%d')", i, g, g%7)
-				if _, err := db.Exec(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := db.Compact(); err != nil {
+		}
+		if err := db.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v := db.Version()
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO T VALUES ('x%08d', 'g00', 'd0')", i)); err != nil {
 				b.Fatal(err)
 			}
-			runtime.GC()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := db.Version()
-				if _, err := db.Exec(fmt.Sprintf("INSERT INTO T VALUES ('x%08d', 'g00', 'd0')", i)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := db.Exec("DECOMPOSE TABLE T INTO A (K, G), B (G, D)"); err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					// The reused output must keep the input's segmentation
-					// (merged base + tail + fresh flush), not arrive
-					// restitched as one segment.
-					for _, ts := range db.MemStats().Tables {
-						if ts.Table == "A" {
-							b.ReportMetric(float64(ts.Segments), "a-segments")
-							if ts.Segments < 2 {
-								b.Fatalf("evolution output A has %d segments, want multi-segment", ts.Segments)
-							}
+			if _, err := db.Exec("DECOMPOSE TABLE T INTO A (K, G), B (G, D)"); err != nil {
+				b.Fatal(err)
+			}
+			if i == 0 {
+				// The reused output must keep the input's segmentation
+				// (merged base + tail + fresh flush), not arrive
+				// restitched as one segment.
+				for _, ts := range db.MemStats().Tables {
+					if ts.Table == "A" {
+						b.ReportMetric(float64(ts.Segments), "a-segments")
+						if ts.Segments < 2 {
+							b.Fatalf("evolution output A has %d segments, want multi-segment", ts.Segments)
 						}
 					}
 				}
-				if err := db.Rollback(v); err != nil {
-					b.Fatal(err)
-				}
 			}
-		})
-	}
+			if err := db.Rollback(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

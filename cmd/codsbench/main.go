@@ -40,9 +40,9 @@
 //
 // The joins mode benchmarks the multi-table query layer on a decomposed
 // star: a -rows fact table joined to a -dim dimension, timing the same
-// selective aggregate as a scan of the pre-DECOMPOSE table, a hash join
-// with the WAH semi-join reduction, and a hash join without it. -out
-// appends to BENCH_joins.json.
+// selective aggregate as a scan of the pre-DECOMPOSE table and as a hash
+// join with the WAH semi-join reduction. -out appends to
+// BENCH_joins.json.
 package main
 
 import (

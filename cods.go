@@ -92,16 +92,6 @@ type Config struct {
 	// per-table segment counts logarithmic. 0 means the default ratio
 	// (2); negative disables merging.
 	SegmentMergeRatio int
-	// RebuildOnFlush makes every overlay flush rebuild its table as one
-	// monolithic segment — the pre-segmentation write path, kept as a
-	// correctness oracle and benchmark baseline. Leave it off.
-	RebuildOnFlush bool
-	// RebuildEvolve makes every Schema Modification Operator run its
-	// pre-segmentation monolithic algorithm, stitching each input table
-	// into one segment before evolving it — kept as a correctness oracle
-	// and benchmark baseline for the segment-wise map/merge evolution
-	// path that is the default. Leave it off.
-	RebuildEvolve bool
 }
 
 // DB is a CODS database: a catalog of bitmap-indexed column-store tables
@@ -149,8 +139,6 @@ func Open(cfg Config) *DB {
 		RetainVersions:     cfg.RetainVersions,
 		AutoCompactPending: cfg.AutoCompactPending,
 		SegmentMergeRatio:  cfg.SegmentMergeRatio,
-		RebuildFlush:       cfg.RebuildOnFlush,
-		RebuildEvolve:      cfg.RebuildEvolve,
 	}), cfg: cfg}
 }
 

@@ -97,11 +97,11 @@
 // together to keep the segment count logarithmic: Config.SegmentMergeRatio
 // tunes it (0 means the default ratio 2, negative disables merging); the
 // fold runs inline on the write path, before the change is published.
-// Config.RebuildOnFlush restores the monolithic rebuild — kept as the
-// oracle for the segmented-vs-rebuild property test and as the
-// superlinear baseline in the huge-table write benchmark. Durable
-// catalogs persist one directory per segment and cross-check the
-// manifest's row counts on load.
+// A flush keeps surviving base rows in base order, then appended rows in
+// insertion order; the root property test checks that, statement by
+// statement, against an independent row model. Durable catalogs persist
+// one directory per segment and cross-check the manifest's row counts on
+// load.
 //
 // # Segment-wise evolution
 //
@@ -115,11 +115,9 @@
 // deduplicated DECOMPOSE side packs each segment's surviving rows into a
 // segment of its own. Outputs feed back into the tiered merge policy,
 // and MemStats reports the per-table segment layout plus the running
-// merge count. Config.RebuildEvolve forces the pre-segmentation
-// monolithic algorithms instead — like RebuildOnFlush, an oracle (the
-// property test requires byte-identical tables from both paths) and the
-// baseline the evolution benchmark measures the segment-wise win
-// against. Leave both off in production.
+// merge count. On a one-segment table the map phase is the whole
+// algorithm, so there is one evolution path, checked against the row
+// model and against query-level evolution (decode, join, re-encode).
 //
 // # Bounded memory: retention and auto-compaction
 //

@@ -14,15 +14,14 @@ import (
 
 // Join mode keys in JoinResult.Modes.
 const (
-	JoinModeScan    = "scan-original"
-	JoinModeSemi    = "join-semi"
-	JoinModeGeneric = "join-generic"
+	JoinModeScan = "scan-original"
+	JoinModeSemi = "join-semi"
 )
 
 // JoinConfig parameterizes the join benchmark: a generated table R(A, B,
 // C) with FactRows rows and DimRows distinct keys (FD A → C) is
 // decomposed into a FactRows-row fact S (A, B) and a DimRows-row
-// dimension T (A, C); the same selective aggregate then runs three ways.
+// dimension T (A, C); the same selective aggregate then runs two ways.
 type JoinConfig struct {
 	// FactRows is the fact-table size (the issue's scenario is 1M).
 	FactRows int
@@ -60,9 +59,8 @@ type JoinResult struct {
 	// recognized as drawing from one dictionary id space — the
 	// precondition for the id-only semi-join fast path.
 	SharedLineage bool `json:"shared_lineage"`
-	// Modes: "scan-original" (the pre-DECOMPOSE single-table scan),
-	// "join-semi" (hash join with the WAH semi-join reduction), and
-	// "join-generic" (hash join with the reduction disabled).
+	// Modes: "scan-original" (the pre-DECOMPOSE single-table scan) and
+	// "join-semi" (hash join with the WAH semi-join reduction).
 	Modes map[string]JoinModeRun `json:"modes"`
 }
 
@@ -139,11 +137,6 @@ func RunJoins(cfg JoinConfig) (*JoinResult, error) {
 			From: "S", Joins: []plan.Join{{Table: "T", On: []string{"A"}}}, Where: where,
 			Aggregates: []colquery.Agg{{Func: colquery.Count}},
 		}},
-		{JoinModeGeneric, plan.Query{
-			From: "S", Joins: []plan.Join{{Table: "T", On: []string{"A"}}}, Where: where,
-			Aggregates:      []colquery.Agg{{Func: colquery.Count}},
-			DisableSemiJoin: true,
-		}},
 	}
 	var matched uint64
 	for i, e := range queries {
@@ -178,7 +171,7 @@ func (r *JoinResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "# joins fact=%d dim=%d parallelism=%d shared-lineage=%v\n",
 		r.FactRows, r.DimRows, r.Parallelism, r.SharedLineage)
 	fmt.Fprintf(w, "%-16s %12s %14s %12s\n", "mode", "elapsed-ms", "fact-rows/s", "matched")
-	for _, mode := range []string{JoinModeScan, JoinModeSemi, JoinModeGeneric} {
+	for _, mode := range []string{JoinModeScan, JoinModeSemi} {
 		m, ok := r.Modes[mode]
 		if !ok {
 			continue

@@ -58,16 +58,6 @@ type Config struct {
 	// (2); negative disables merging, letting flush-sealed tail segments
 	// accumulate.
 	SegmentMergeRatio int
-	// RebuildFlush makes every overlay flush rebuild its table as one
-	// monolithic segment — the pre-segmentation write path, kept as the
-	// property-test oracle and the benchmark baseline.
-	RebuildFlush bool
-	// RebuildEvolve makes every evolution operator run its monolithic
-	// algorithm over the stitched whole-table view and emit
-	// single-segment outputs — the pre-segmentation evolution path, kept
-	// as the correctness oracle and benchmark baseline for the
-	// segment-wise default (mirroring RebuildFlush on the write path).
-	RebuildEvolve bool
 }
 
 // mergeRatio resolves the configured segment merge ratio; ok is false
@@ -325,7 +315,7 @@ func (e *Engine) Register(t *colstore.Table) error {
 	if _, exists := e.tables[t.Name()]; exists {
 		return fmt.Errorf("core: table %q already exists", t.Name())
 	}
-	e.tables[t.Name()] = e.wrapOne(t)
+	e.tables[t.Name()] = delta.Wrap(t, e.cfg.Parallelism)
 	e.snapshot()
 	return nil
 }
@@ -381,7 +371,6 @@ func (e *Engine) Apply(op smo.Op) (*Result, error) {
 	opts := evolve.Options{
 		Parallelism: e.cfg.Parallelism,
 		ValidateFD:  e.cfg.ValidateFD,
-		Rebuild:     e.cfg.RebuildEvolve,
 		Status: func(step string) {
 			res.Steps = append(res.Steps, step)
 			if e.cfg.Status != nil {
@@ -507,19 +496,9 @@ func (e *Engine) overlay(name string) (*delta.Overlay, error) {
 func (e *Engine) wrap(ts ...*colstore.Table) []*delta.Overlay {
 	out := make([]*delta.Overlay, len(ts))
 	for i, t := range ts {
-		out[i] = e.wrapOne(t)
+		out[i] = delta.Wrap(t, e.cfg.Parallelism)
 	}
 	return out
-}
-
-// wrapOne boxes one table as a clean overlay honoring the engine's flush
-// mode.
-func (e *Engine) wrapOne(t *colstore.Table) *delta.Overlay {
-	ov := delta.Wrap(t, e.cfg.Parallelism)
-	if e.cfg.RebuildFlush {
-		ov = ov.WithRebuildFlush(true)
-	}
-	return ov
 }
 
 // wrapEvolved boxes segment-mapped evolution outputs, first running each
@@ -534,7 +513,7 @@ func (e *Engine) wrapEvolved(ts ...*colstore.Table) ([]*delta.Overlay, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = e.wrapOne(mt)
+		out[i] = delta.Wrap(mt, e.cfg.Parallelism)
 	}
 	return out, nil
 }
@@ -594,7 +573,7 @@ func (e *Engine) compactTableLocked(name string) error {
 	if t, err = e.mergeAfterFlush(t); err != nil {
 		return err
 	}
-	e.tables[name] = e.wrapOne(t)
+	e.tables[name] = delta.Wrap(t, e.cfg.Parallelism)
 	e.compactions.Add(1)
 	e.snapshot()
 	return nil
@@ -625,7 +604,7 @@ func (e *Engine) compactLocked() error {
 		if t, err = e.mergeAfterFlush(t); err != nil {
 			return err
 		}
-		compacted[name] = e.wrapOne(t)
+		compacted[name] = delta.Wrap(t, e.cfg.Parallelism)
 	}
 	e.tables = compacted
 	e.compactions.Add(1)

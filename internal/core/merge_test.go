@@ -64,19 +64,6 @@ func TestMergeDisabledAccumulatesSegments(t *testing.T) {
 	assertRContent(t, e, 7+50)
 }
 
-func TestRebuildFlushKeepsSingleSegment(t *testing.T) {
-	e := New(Config{RebuildFlush: true})
-	seedR(t, e)
-	for b := 0; b < 5; b++ {
-		insertBatch(t, e, b*10, 10)
-	}
-	base := baseR(t, e)
-	if n := base.NumSegments(); n != 1 {
-		t.Fatalf("segments=%d, want 1 under RebuildFlush", n)
-	}
-	assertRContent(t, e, 7+50)
-}
-
 // seedR registers the 7-row employee table as R.
 func seedR(t *testing.T, e *Engine) {
 	t.Helper()

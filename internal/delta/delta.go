@@ -91,11 +91,6 @@ type Overlay struct {
 	// parallelism bounds the worker pool for bitmap work (predicate
 	// evaluation, filtering, flush); 0 means GOMAXPROCS.
 	parallelism int
-	// rebuild forces flush to rebuild the base as one monolithic segment
-	// (the pre-segmentation behavior) instead of the segmented O(tail)
-	// flush. It exists as the oracle the property tests compare against
-	// and as the baseline the write benchmarks measure.
-	rebuild bool
 
 	// flush cache: an overlay is immutable, so the merged table is
 	// computed at most once and shared by every reader of this version.
@@ -114,23 +109,6 @@ func Wrap(base *colstore.Table, parallelism int) *Overlay {
 	return &Overlay{base: base, byName: byName, parallelism: parallelism}
 }
 
-// WithRebuildFlush returns an overlay over the same state whose flushes
-// (and those of every derived overlay) rebuild the base as a single
-// segment instead of sealing the tail into a new one. The engine enables
-// it for oracle and baseline runs; production lineages leave it off.
-func (o *Overlay) WithRebuildFlush(on bool) *Overlay {
-	return &Overlay{
-		base: o.base, byName: o.byName,
-		added: o.added, ar: o.ar,
-		deleted: o.deleted, nDeleted: o.nDeleted,
-		parallelism: o.parallelism, rebuild: on,
-	}
-}
-
-// RebuildFlush reports whether this lineage flushes by monolithic
-// rebuild.
-func (o *Overlay) RebuildFlush() bool { return o.rebuild }
-
 // WithName returns an overlay over the same DML state with the base
 // renamed. Rename is metadata-only on a column store, so the appended
 // tail, deletion bitmap and append arena carry forward untouched — the
@@ -141,7 +119,7 @@ func (o *Overlay) WithName(name string) *Overlay {
 		base: o.base.WithName(name), byName: o.byName,
 		added: o.added, ar: o.ar,
 		deleted: o.deleted, nDeleted: o.nDeleted,
-		parallelism: o.parallelism, rebuild: o.rebuild,
+		parallelism: o.parallelism,
 	}
 }
 
@@ -179,7 +157,7 @@ func (o *Overlay) NumRows() uint64 {
 // claims second copies, exactly the branch semantics. The flush cache is
 // deliberately not carried over.
 func (o *Overlay) derive(deleted *wah.Bitmap) *Overlay {
-	n := &Overlay{base: o.base, byName: o.byName, added: o.added, ar: o.ar, deleted: deleted, parallelism: o.parallelism, rebuild: o.rebuild}
+	n := &Overlay{base: o.base, byName: o.byName, added: o.added, ar: o.ar, deleted: deleted, parallelism: o.parallelism}
 	if deleted != nil {
 		n.nDeleted = deleted.Count()
 	}
@@ -326,7 +304,7 @@ func (o *Overlay) Insert(row []string) (*Overlay, error) {
 		return nil, fmt.Errorf("delta: INSERT into %s violates key %v", o.Name(), o.base.Key())
 	}
 	row = append([]string(nil), row...)
-	n := &Overlay{base: o.base, byName: o.byName, deleted: o.deleted, nDeleted: o.nDeleted, parallelism: o.parallelism, rebuild: o.rebuild}
+	n := &Overlay{base: o.base, byName: o.byName, deleted: o.deleted, nDeleted: o.nDeleted, parallelism: o.parallelism}
 	if o.ar != nil {
 		o.ar.mu.Lock()
 		if o.ar.tip == len(o.added) && cap(o.added) > len(o.added) {
@@ -514,7 +492,7 @@ func (o *Overlay) Delete(condition string) (*Overlay, uint64, error) {
 			added = append(added, row)
 		}
 	}
-	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted, parallelism: o.parallelism, rebuild: o.rebuild}
+	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted, parallelism: o.parallelism}
 	n.ar = &arena{tip: len(added), keys: o.shiftedKeys(drop, addedHit)}
 	if deleted != nil {
 		n.nDeleted = deleted.Count()
@@ -626,7 +604,7 @@ func (o *Overlay) Update(column, value, condition string) (*Overlay, uint64, err
 			}
 		}
 	}
-	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted, parallelism: o.parallelism, rebuild: o.rebuild}
+	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted, parallelism: o.parallelism}
 	if deleted != nil {
 		n.nDeleted = deleted.Count()
 	}
@@ -706,8 +684,8 @@ func (o *Overlay) Query(pred expr.Node) ([][]string, error) {
 // the appended tail in insertion order — the same order a flush
 // produces, so paging is stable across calls and across compaction.
 // With deletions, the requested page of base positions is turned into a
-// bitmap and served by the usual filter primitive; the whole-table
-// rebuild is reserved for Table.
+// bitmap and served by the usual filter primitive; the flush is
+// reserved for Table.
 func (o *Overlay) Rows(offset, limit uint64) ([][]string, error) {
 	if !o.Dirty() {
 		return o.base.Rows(offset, limit)
@@ -810,13 +788,10 @@ func (o *Overlay) Table() (*colstore.Table, error) {
 // segments are dropped), and the appended tail is sealed into one new
 // segment with fresh per-column dictionaries. Cost is O(tail + deleted
 // segments), not O(table) — the flat per-statement write cost the
-// segmented store exists for. Row order matches the rebuild flush
-// exactly: surviving base rows in base order, then appended rows in
+// segmented store exists for. Row order is the one Rows reads without
+// flushing: surviving base rows in base order, then appended rows in
 // insertion order.
 func (o *Overlay) flush() (*colstore.Table, error) {
-	if o.rebuild {
-		return o.flushRebuild()
-	}
 	segs := o.base.Segments()
 	out := make([]*colstore.Segment, 0, len(segs)+1)
 	var off uint64
@@ -861,42 +836,4 @@ func (o *Overlay) flush() (*colstore.Table, error) {
 		out = append(out, tail)
 	}
 	return colstore.NewSegmented(o.Name(), o.base.ColumnNames(), out, o.base.Key())
-}
-
-// flushRebuild rebuilds the base as one monolithic segment with the
-// overlay applied: per column, surviving base rows keep their dictionary
-// ids (no re-interning) and appended rows are interned at the tail.
-// Columns rebuild independently, fanned out over the worker pool. This is
-// the pre-segmentation flush, kept as the property-test oracle and
-// benchmark baseline (see WithRebuildFlush).
-func (o *Overlay) flushRebuild() (*colstore.Table, error) {
-	nbase := o.base.NumRows()
-	var dead []bool
-	if o.deleted != nil && o.deleted.Any() {
-		dead = make([]bool, nbase)
-		o.deleted.Ones(func(p uint64) bool {
-			dead[p] = true
-			return true
-		})
-	}
-	ncols := o.base.NumColumns()
-	cols := make([]*colstore.Column, ncols)
-	if err := par.ForEachErr(ncols, o.parallelism, func(ci int) error {
-		src := o.base.ColumnAt(ci)
-		b := colstore.NewColumnBuilderWithDict(src.Name(), src.Dict())
-		ids := src.RowIDs()
-		for r, id := range ids {
-			if dead == nil || !dead[r] {
-				b.AppendID(id)
-			}
-		}
-		for _, row := range o.added {
-			b.Append(row[ci])
-		}
-		cols[ci] = b.Finish()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return colstore.NewTable(o.Name(), cols, o.base.Key())
 }

@@ -50,16 +50,10 @@ func Decompose(r *colstore.Table, spec DecomposeSpec, opt Options) (*DecomposeRe
 	}
 
 	// Orientation: which output is keyed by the common attributes?
-	fdCheck := func(det, dep []string) bool {
-		if opt.Rebuild {
-			return fdHolds(r, det, dep)
-		}
-		return fdHoldsSegmented(r, det, dep, opt)
-	}
 	dedupT := true
 	if opt.ValidateFD {
-		okT := fdCheck(common, minus(spec.TColumns, common))
-		okS := fdCheck(common, minus(spec.SColumns, common))
+		okT := fdHoldsSegmented(r, common, minus(spec.TColumns, common), opt)
+		okS := fdHoldsSegmented(r, common, minus(spec.SColumns, common), opt)
 		switch {
 		case okT:
 			dedupT = true
@@ -83,23 +77,11 @@ func Decompose(r *colstore.Table, spec DecomposeSpec, opt Options) (*DecomposeRe
 		return nil, err
 	}
 
-	// Steps 1+2 — distinction then bitmap filtering (paper §2.4).
-	// Segment-wise by default: each segment finds local representatives
-	// and filters independently; the merge phase only deduplicates
-	// representative values across segment boundaries. The monolithic
-	// oracle runs both steps over the stitched whole-table view.
-	var t *colstore.Table
-	if opt.Rebuild {
-		opt.trace(fmt.Sprintf("distinction: locating one representative row per distinct %v", common))
-		positions, keyIDsByRank, derr := distinction(r, common, opt)
-		if derr != nil {
-			return nil, derr
-		}
-		opt.trace(fmt.Sprintf("bitmap filtering: building %s's columns from compressed bitmaps", tName))
-		t, err = filterColumns(r, tName, tCols, positions, keyIDsByRank, common, opt)
-	} else {
-		t, err = decomposeDedup(r, tName, tCols, common, opt)
-	}
+	// Steps 1+2 — distinction then bitmap filtering (paper §2.4),
+	// segment-wise: each segment finds local representatives and filters
+	// independently; the merge phase only deduplicates representative
+	// values across segment boundaries.
+	t, err := decomposeDedup(r, tName, tCols, common, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -145,122 +127,14 @@ func validateDecomposeSpec(r *colstore.Table, spec DecomposeSpec) error {
 	return nil
 }
 
-// distinction returns the sorted position list over r's rows with one
-// entry per distinct value combination of the given columns. For a
-// single-attribute key it also returns the key's value id at each
-// position, which lets the output key column be assembled directly (one
-// bit per value, no filtering, shared dictionary).
-func distinction(r *colstore.Table, columns []string, opt Options) (positions []uint64, keyIDsByRank []uint32, err error) {
-	if len(columns) == 1 {
-		// Fast path: the first position of each value's bitmap, found by
-		// skipping leading zero fills on the compressed form — one
-		// independent task per distinct value.
-		col, err := r.Column(columns[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		n := col.DistinctCount()
-		type rep struct {
-			pos uint64
-			id  uint32
-		}
-		reps := make([]rep, n)
-		if err := opt.forEachErr(n, func(id int) error {
-			p, ok := col.BitmapForID(uint32(id)).FirstOne()
-			if !ok {
-				return fmt.Errorf("evolve: column %q value id %d has an empty bitmap", columns[0], id)
-			}
-			reps[id] = rep{pos: p, id: uint32(id)}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		sort.Slice(reps, func(a, b int) bool { return reps[a].pos < reps[b].pos })
-		positions = make([]uint64, n)
-		keyIDsByRank = make([]uint32, n)
-		for i, rp := range reps {
-			positions[i] = rp.pos
-			keyIDsByRank[i] = rp.id
-		}
-		return positions, keyIDsByRank, nil
-	}
-	// Composite key: one scan over the key columns' row-wise ids.
-	ids := make([][]uint32, len(columns))
-	for i, cn := range columns {
-		col, err := r.Column(cn)
-		if err != nil {
-			return nil, nil, err
-		}
-		ids[i] = col.RowIDs()
-	}
-	seen := make(map[string]bool, 1024)
-	var kb strings.Builder
-	for row := uint64(0); row < r.NumRows(); row++ {
-		kb.Reset()
-		for i := range ids {
-			fmt.Fprintf(&kb, "%d\x00", ids[i][row])
-		}
-		k := kb.String()
-		if !seen[k] {
-			seen[k] = true
-			positions = append(positions, row)
-		}
-	}
-	return positions, nil, nil
-}
-
-// filterColumns builds the deduplicated output table by filtering each of
-// its attributes' bitmaps with the distinction position list.
-func filterColumns(r *colstore.Table, name string, columns []string, positions []uint64, keyIDsByRank []uint32, key []string, opt Options) (*colstore.Table, error) {
-	nrows := uint64(len(positions))
-	outCols := make([]*colstore.Column, len(columns))
-	for ci, cn := range columns {
-		col, err := r.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		if keyIDsByRank != nil && len(key) == 1 && cn == key[0] {
-			// Key column fast path: every value survives with exactly one
-			// row, whose output position is its representative's rank.
-			// Build each single-bit vector directly and share the
-			// dictionary — no filtering, no re-interning.
-			bitmaps := make([]*wah.Bitmap, col.DistinctCount())
-			for rank, id := range keyIDsByRank {
-				bm := wah.New()
-				bm.Add(uint64(rank))
-				bitmaps[id] = bm
-			}
-			nc, err := colstore.NewColumnSharingDict(col.Name(), col.Dict(), bitmaps, nrows)
-			if err != nil {
-				return nil, err
-			}
-			outCols[ci] = nc
-			continue
-		}
-		n := col.DistinctCount()
-		values := make([]string, n)
-		bitmaps := make([]*wah.Bitmap, n)
-		opt.forEach(n, func(id int) {
-			values[id] = col.Dict().Value(uint32(id))
-			bitmaps[id] = wah.FilterPositions(col.BitmapForID(uint32(id)), positions)
-		})
-		nc, err := colstore.NewColumnFromBitmaps(col.Name(), values, bitmaps, nrows)
-		if err != nil {
-			return nil, err
-		}
-		outCols[ci] = nc
-	}
-	return colstore.NewTable(name, outCols, key)
-}
-
 // decomposeDedup builds the deduplicated output segment-wise. Map phase:
 // every segment locates its local representative rows — the first local
 // position of each locally distinct value of the common attributes — in
 // parallel. Merge phase: representatives whose value already occurred in
 // an earlier segment are dropped, so only the globally first occurrence
 // survives; segments are visited in order and local positions are
-// ascending, which keeps survivors in global row order — the exact row
-// sequence the monolithic distinction produces. Filter phase: each
+// ascending, which keeps survivors in global row order: each key's first
+// row, in input order. Filter phase: each
 // contributing segment shrinks its bitmaps by its surviving local
 // positions and becomes one output segment; segments that introduce no
 // new value are skipped outright, which is what makes decomposition cost
@@ -421,7 +295,8 @@ func dedupSegment(s *colstore.Segment, columns, common []string, positions []uin
 	return sb.Finish()
 }
 
-// fdHoldsSegmented is fdHolds computed segment-wise: each segment builds
+// fdHoldsSegmented reports whether the functional dependency det → dep
+// holds in t, computed segment-wise: each segment builds
 // its det-values → dep-values map locally and in parallel (value-based —
 // local dictionary ids are not comparable across segments), then the
 // merge phase checks for conflicts across segment boundaries.
@@ -502,51 +377,6 @@ func segFDMap(s *colstore.Segment, det, dep []string) (map[string]string, error)
 		}
 	}
 	return m, nil
-}
-
-// fdHolds reports whether the functional dependency det → dep holds in t.
-// One scan over the referenced columns.
-func fdHolds(t *colstore.Table, det, dep []string) bool {
-	if len(dep) == 0 {
-		return true
-	}
-	detIDs := make([][]uint32, len(det))
-	for i, cn := range det {
-		c, err := t.Column(cn)
-		if err != nil {
-			return false
-		}
-		detIDs[i] = c.RowIDs()
-	}
-	depIDs := make([][]uint32, len(dep))
-	for i, cn := range dep {
-		c, err := t.Column(cn)
-		if err != nil {
-			return false
-		}
-		depIDs[i] = c.RowIDs()
-	}
-	seen := make(map[string]string, 1024)
-	var kb, vb strings.Builder
-	for row := uint64(0); row < t.NumRows(); row++ {
-		kb.Reset()
-		vb.Reset()
-		for i := range detIDs {
-			fmt.Fprintf(&kb, "%d\x00", detIDs[i][row])
-		}
-		for i := range depIDs {
-			fmt.Fprintf(&vb, "%d\x00", depIDs[i][row])
-		}
-		k, v := kb.String(), vb.String()
-		if prev, ok := seen[k]; ok {
-			if prev != v {
-				return false
-			}
-		} else {
-			seen[k] = v
-		}
-	}
-	return true
 }
 
 func intersect(a, b []string) []string {

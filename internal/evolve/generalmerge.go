@@ -27,27 +27,19 @@ type joinGroup struct {
 // layouts are emitted in ascending output position, so every per-value
 // bitmap is built by monotone compressed appends.
 //
-// Segment-wise (the default), pass 1 builds the join groups per segment —
-// each segment decodes its local per-value position lists, restitched at
-// segment offsets under a union dictionary — and pass 2 reads row ids
-// through the same remapping instead of a stitched column, so no input
-// bitmap is ever concatenated. The output is inherently a reshuffle and
-// is emitted as a single fresh segment either way; the two paths produce
-// identical tables because the union dictionary order equals the stitched
-// dictionary order by construction.
+// Pass 1 builds the join groups per segment — each segment decodes its
+// local per-value position lists, restitched at segment offsets under a
+// union dictionary — and pass 2 reads row ids through the same remapping
+// instead of a stitched column, so no input bitmap is ever concatenated.
+// The output is inherently a reshuffle and is emitted as a single fresh
+// segment.
 func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.Table, error) {
 	common, err := commonColumns(s, t)
 	if err != nil {
 		return nil, err
 	}
-	var groups []joinGroup
-	if opt.Rebuild {
-		opt.trace(fmt.Sprintf("general mergence pass 1: counting join values of %v", common))
-		groups, err = buildJoinGroups(s, t, common, opt)
-	} else {
-		opt.trace(fmt.Sprintf("general mergence pass 1 (map): building join groups of %v from %d+%d segments", common, s.NumSegments(), t.NumSegments()))
-		groups, err = buildJoinGroupsSegmented(s, t, common, opt)
-	}
+	opt.trace(fmt.Sprintf("general mergence pass 1 (map): building join groups of %v from %d+%d segments", common, s.NumSegments(), t.NumSegments()))
+	groups, err := buildJoinGroupsSegmented(s, t, common, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -59,22 +51,6 @@ func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.
 
 	opt.trace(fmt.Sprintf("general mergence pass 2: laying out %d output rows clustered by join value", outRows))
 
-	// colIDs reads a column's per-row value ids and its dictionary — from
-	// the stitched whole-table view on the oracle path, via per-segment
-	// decode and dictionary-union remapping (no bitmap stitch) on the
-	// segment-wise path. Both produce identical (ids, dictionary) pairs,
-	// so pass 2 below is shared.
-	colIDs := func(tab *colstore.Table, cn string) ([]uint32, *dict.Dict, error) {
-		if opt.Rebuild {
-			c, err := tab.Column(cn)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c.RowIDs(), c.Dict(), nil
-		}
-		return rowIDsRemapped(tab, cn, opt)
-	}
-
 	// Pass 2 builds each output column from the shared (read-only) group
 	// layout with its own builder, so the columns are independent tasks.
 	var tasks []func() (*colstore.Column, error)
@@ -82,7 +58,7 @@ func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.
 	// Join attribute columns: per group a single fill run.
 	for _, cn := range common {
 		tasks = append(tasks, func() (*colstore.Column, error) {
-			ids, d, err := colIDs(s, cn)
+			ids, d, err := rowIDsRemapped(s, cn, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +74,7 @@ func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.
 	// Non-join attributes of s: consecutive runs of length n2.
 	for _, cn := range minus(s.ColumnNames(), common) {
 		tasks = append(tasks, func() (*colstore.Column, error) {
-			ids, d, err := colIDs(s, cn)
+			ids, d, err := rowIDsRemapped(s, cn, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +94,7 @@ func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.
 	// repetition so appends stay monotone.
 	for _, cn := range minus(t.ColumnNames(), common) {
 		tasks = append(tasks, func() (*colstore.Column, error) {
-			ids, d, err := colIDs(t, cn)
+			ids, d, err := rowIDsRemapped(t, cn, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -158,57 +134,6 @@ func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.
 	return colstore.NewTable(outName, outCols, nil)
 }
 
-// buildJoinGroups returns, per distinct join value present in both inputs,
-// the ascending row positions in each input. Join values appearing in only
-// one input produce no output rows (inner-join semantics) and are skipped.
-// Group order follows s's dictionary id order for single-attribute joins
-// and first appearance in s for composite joins, making output layout
-// deterministic.
-func buildJoinGroups(s, t *colstore.Table, common []string, opt Options) ([]joinGroup, error) {
-	if len(common) == 1 {
-		sc, err := s.Column(common[0])
-		if err != nil {
-			return nil, err
-		}
-		tc, err := t.Column(common[0])
-		if err != nil {
-			return nil, err
-		}
-		// Decompress each value's position lists in parallel, then compact
-		// in dictionary id order to keep the output layout deterministic.
-		found := make([]*joinGroup, sc.DistinctCount())
-		opt.forEach(sc.DistinctCount(), func(id int) {
-			value := sc.Dict().Value(uint32(id))
-			tid := tc.Dict().Lookup(value)
-			if tid == dict.NoID {
-				return
-			}
-			found[id] = &joinGroup{
-				sPositions: sc.BitmapForID(uint32(id)).AppendPositionsTo(nil),
-				tPositions: tc.BitmapForID(tid).AppendPositionsTo(nil),
-			}
-		})
-		var groups []joinGroup
-		for _, g := range found {
-			if g != nil {
-				groups = append(groups, *g)
-			}
-		}
-		return groups, nil
-	}
-	// Composite join: group rows by composite value with one scan per
-	// input.
-	sKeys, err := compositeKeys(s, common)
-	if err != nil {
-		return nil, err
-	}
-	tKeys, err := compositeKeys(t, common)
-	if err != nil {
-		return nil, err
-	}
-	return groupComposite(sKeys, tKeys), nil
-}
-
 // groupComposite groups the per-row composite join keys of both inputs
 // into joinGroups, ordered by first appearance in s.
 func groupComposite(sKeys, tKeys []string) []joinGroup {
@@ -234,13 +159,14 @@ func groupComposite(sKeys, tKeys []string) []joinGroup {
 	return groups
 }
 
-// buildJoinGroupsSegmented is buildJoinGroups without the stitch: for a
-// single join attribute each input's per-value global position lists come
-// from per-segment decodes restitched at segment offsets under a union
-// dictionary (valuePositions), and group order follows that dictionary's
-// id order — equal to the stitched dictionary order the monolithic path
-// uses. Composite joins materialize per-row keys segment by segment and
-// share the grouping with the monolithic path.
+// buildJoinGroupsSegmented returns, per distinct join value present in
+// both inputs, the ascending row positions in each input; a join value
+// in only one input produces no output rows (inner-join semantics). For
+// a single join attribute each input's per-value global position lists
+// come from per-segment decodes restitched at segment offsets under a
+// union dictionary (valuePositions), and group order follows s's union
+// dictionary id order. Composite joins materialize per-row keys segment
+// by segment, grouped in order of first appearance in s.
 func buildJoinGroupsSegmented(s, t *colstore.Table, common []string, opt Options) ([]joinGroup, error) {
 	if len(common) == 1 {
 		sPos, sDict, err := valuePositions(s, common[0], opt)
@@ -274,7 +200,7 @@ func buildJoinGroupsSegmented(s, t *colstore.Table, common []string, opt Options
 
 // compositeKeysSegmented materializes the composite join key of every
 // row, one segment at a time (fanned out; the keys are value-based, so
-// per-segment results agree with the whole-table scan).
+// they compare across segments).
 func compositeKeysSegmented(t *colstore.Table, columns []string, opt Options) ([]string, error) {
 	segs := t.Segments()
 	offs := segmentOffsets(segs)
@@ -302,29 +228,6 @@ func compositeKeysSegmented(t *colstore.Table, columns []string, opt Options) ([
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// compositeKeys materializes the composite join key of every row.
-func compositeKeys(t *colstore.Table, columns []string) ([]string, error) {
-	ids := make([][]uint32, len(columns))
-	dicts := make([]func(uint32) string, len(columns))
-	for i, cn := range columns {
-		c, err := t.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = c.RowIDs()
-		dicts[i] = c.Dict().Value
-	}
-	out := make([]string, t.NumRows())
-	for row := range out {
-		k := ""
-		for i := range ids {
-			k += dicts[i](ids[i][row]) + "\x00"
-		}
-		out[row] = k
 	}
 	return out, nil
 }

@@ -49,231 +49,18 @@ func Merge(s, t *colstore.Table, outName string, opt Options) (*MergeResult, err
 // integrity); a dangling reference is an error rather than a silent row
 // drop, because dropped rows would make the fact columns non-reusable.
 //
-// Segment-wise (the default), the map phase handles one fact segment at a
-// time: its columns are adopted verbatim (zero copy, even on
-// multi-segment fact tables, where the monolithic oracle would stitch)
-// and the dimension's non-key columns are generated from the segment's
-// local key bitmaps. The merge phase is the dimension-side preparation
-// shared by all map tasks: the key → row index and a cross-segment union
-// dictionary per generated column (RemapInto). One output segment per
-// fact segment.
+// The map phase handles one fact segment at a time: its columns are
+// adopted verbatim (zero copy, even on multi-segment fact tables) and the
+// dimension's non-key columns are generated from the segment's local key
+// bitmaps. The merge phase is the dimension-side preparation shared by
+// all map tasks: the key → row index and a cross-segment union dictionary
+// per generated column (RemapInto). One output segment per fact segment,
+// so the output keeps the fact side's row order.
 func MergeKeyFK(s, t *colstore.Table, outName string, opt Options) (*MergeResult, error) {
 	common, err := commonColumns(s, t)
 	if err != nil {
 		return nil, err
 	}
-	if !opt.Rebuild {
-		return mergeKeyFKSegmented(s, t, outName, common, opt)
-	}
-	return mergeKeyFKRebuild(s, t, outName, common, opt)
-}
-
-// mergeKeyFKRebuild is the monolithic oracle: it consumes the stitched
-// whole-table view of both inputs and emits a single-segment output.
-func mergeKeyFKRebuild(s, t *colstore.Table, outName string, common []string, opt Options) (*MergeResult, error) {
-	fact, dim := s, t
-	if !keyedBy(t, common) {
-		if !keyedBy(s, common) {
-			return nil, fmt.Errorf("%w (common: %v)", ErrNotKeyFK, common)
-		}
-		fact, dim = t, s
-	}
-	opt.trace(fmt.Sprintf("mergence: reusing %s's columns; generating %s's non-key columns by OR-combining key vectors", fact.Name(), dim.Name()))
-
-	// Map each fact row group (one per fact key value or composite) to
-	// the dimension row it joins with.
-	groups, err := factGroups(fact, dim, common, opt)
-	if err != nil {
-		return nil, err
-	}
-
-	outCols := append([]*colstore.Column(nil), columnsOf(fact)...)
-	for _, cn := range minus(dim.ColumnNames(), common) {
-		dimCol, err := dim.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		rowIDs := dimCol.RowIDs()
-		n := dimCol.DistinctCount()
-		// Group the fact-side bitmap vectors by the dimension value they
-		// produce, then OR each group on compressed form.
-		grouped := make([][]*wah.Bitmap, n)
-		for _, g := range groups {
-			u := rowIDs[g.dimRow]
-			grouped[u] = append(grouped[u], g.factBitmap)
-		}
-		values := make([]string, n)
-		bitmaps := make([]*wah.Bitmap, n)
-		opt.forEach(n, func(u int) {
-			values[u] = dimCol.Dict().Value(uint32(u))
-			if len(grouped[u]) == 0 {
-				bitmaps[u] = wah.New()
-				return
-			}
-			bm := wah.OrAll(grouped[u])
-			bm.Extend(fact.NumRows())
-			bitmaps[u] = bm
-		})
-		nc, err := colstore.NewColumnFromBitmaps(cn, values, bitmaps, fact.NumRows())
-		if err != nil {
-			return nil, err
-		}
-		outCols = append(outCols, nc)
-	}
-	out, err := colstore.NewTable(outName, outCols, fact.Key())
-	if err != nil {
-		return nil, err
-	}
-	return &MergeResult{Table: out, Reused: fact.Name()}, nil
-}
-
-// factGroup associates the bitmap of all fact rows sharing one key value
-// with the dimension row holding that key.
-type factGroup struct {
-	factBitmap *wah.Bitmap
-	dimRow     uint64
-}
-
-func factGroups(fact, dim *colstore.Table, common []string, opt Options) ([]factGroup, error) {
-	if len(common) == 1 {
-		// Single-attribute key: fact groups are exactly the fact key
-		// column's per-value bitmaps; the dimension row is the single set
-		// bit of the dimension key's bitmap. Each value's lookup and
-		// leading-fill skip is independent work.
-		factKey, err := fact.Column(common[0])
-		if err != nil {
-			return nil, err
-		}
-		dimKey, err := dim.Column(common[0])
-		if err != nil {
-			return nil, err
-		}
-		groups := make([]factGroup, factKey.DistinctCount())
-		if err := opt.forEachErr(factKey.DistinctCount(), func(id int) error {
-			value := factKey.Dict().Value(uint32(id))
-			dimID := dimKey.Dict().Lookup(value)
-			if dimID == dict.NoID {
-				return fmt.Errorf("evolve: foreign-key violation: %s value %q of %s has no match in %s", common[0], value, fact.Name(), dim.Name())
-			}
-			dimRow, ok := dimKey.BitmapForID(dimID).FirstOne()
-			if !ok {
-				return fmt.Errorf("evolve: dimension %s has an empty bitmap for %q", dim.Name(), value)
-			}
-			groups[id] = factGroup{factBitmap: factKey.BitmapForID(uint32(id)), dimRow: dimRow}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return groups, nil
-	}
-	// Composite key: one scan of the dimension to index composites, one
-	// scan of the fact to build one bitmap per referenced dimension row.
-	dimIndex, err := compositeRowIndex(dim, common)
-	if err != nil {
-		return nil, err
-	}
-	factIDs := make([][]uint32, len(common))
-	factDicts := make([]func(uint32) string, len(common))
-	for i, cn := range common {
-		c, err := fact.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		factIDs[i] = c.RowIDs()
-		factDicts[i] = c.Dict().Value
-	}
-	builders := make(map[uint64]*wah.Bitmap)
-	var order []uint64
-	var kb strings.Builder
-	for row := uint64(0); row < fact.NumRows(); row++ {
-		kb.Reset()
-		for i := range factIDs {
-			kb.WriteString(factDicts[i](factIDs[i][row]))
-			kb.WriteByte(0)
-		}
-		dimRow, ok := dimIndex[kb.String()]
-		if !ok {
-			return nil, fmt.Errorf("evolve: foreign-key violation: %s row %d has no match in %s on %v", fact.Name(), row, dim.Name(), common)
-		}
-		bm := builders[dimRow]
-		if bm == nil {
-			bm = wah.New()
-			builders[dimRow] = bm
-			order = append(order, dimRow)
-		}
-		bm.Add(row)
-	}
-	groups := make([]factGroup, 0, len(order))
-	for _, dr := range order {
-		groups = append(groups, factGroup{factBitmap: builders[dr], dimRow: dr})
-	}
-	return groups, nil
-}
-
-// compositeRowIndex maps each composite key value of the given columns to
-// its row, failing on duplicates (the columns must be a key).
-func compositeRowIndex(t *colstore.Table, columns []string) (map[string]uint64, error) {
-	ids := make([][]uint32, len(columns))
-	dicts := make([]func(uint32) string, len(columns))
-	for i, cn := range columns {
-		c, err := t.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = c.RowIDs()
-		dicts[i] = c.Dict().Value
-	}
-	idx := make(map[string]uint64, t.NumRows())
-	var kb strings.Builder
-	for row := uint64(0); row < t.NumRows(); row++ {
-		kb.Reset()
-		for i := range ids {
-			kb.WriteString(dicts[i](ids[i][row]))
-			kb.WriteByte(0)
-		}
-		k := kb.String()
-		if _, dup := idx[k]; dup {
-			return nil, fmt.Errorf("evolve: %v is not a key of %s: duplicate %q", columns, t.Name(), strings.ReplaceAll(k, "\x00", ","))
-		}
-		idx[k] = row
-	}
-	return idx, nil
-}
-
-// keyedBy reports whether the given columns form a candidate key of t.
-func keyedBy(t *colstore.Table, columns []string) bool {
-	if len(columns) == 1 {
-		c, err := t.Column(columns[0])
-		if err != nil {
-			return false
-		}
-		return uint64(c.DistinctCount()) == t.NumRows()
-	}
-	_, err := compositeRowIndex(t, columns)
-	return err == nil
-}
-
-func commonColumns(s, t *colstore.Table) ([]string, error) {
-	common := intersect(s.ColumnNames(), t.ColumnNames())
-	if len(common) == 0 {
-		return nil, fmt.Errorf("evolve: tables %q and %q share no attributes to join on", s.Name(), t.Name())
-	}
-	return common, nil
-}
-
-func columnsOf(t *colstore.Table) []*colstore.Column {
-	cols := make([]*colstore.Column, t.NumColumns())
-	for i := range cols {
-		cols[i] = t.ColumnAt(i)
-	}
-	return cols
-}
-
-// mergeKeyFKSegmented is the segment-wise key–foreign-key mergence. The
-// dimension-side inputs (key index, per-column union dictionaries and
-// per-row global value ids) are prepared once; each fact segment is then
-// an independent map task producing one output segment.
-func mergeKeyFKSegmented(s, t *colstore.Table, outName string, common []string, opt Options) (*MergeResult, error) {
 	fact, dim := s, t
 	if !keyedBySegmented(t, common) {
 		if !keyedBySegmented(s, common) {
@@ -313,6 +100,21 @@ func mergeKeyFKSegmented(s, t *colstore.Table, outName string, common []string, 
 		return nil, err
 	}
 	return &MergeResult{Table: out, Reused: fact.Name()}, nil
+}
+
+// factGroup associates the bitmap of all fact rows sharing one key value
+// with the dimension row holding that key.
+type factGroup struct {
+	factBitmap *wah.Bitmap
+	dimRow     uint64
+}
+
+func commonColumns(s, t *colstore.Table) ([]string, error) {
+	common := intersect(s.ColumnNames(), t.ColumnNames())
+	if len(common) == 0 {
+		return nil, fmt.Errorf("evolve: tables %q and %q share no attributes to join on", s.Name(), t.Name())
+	}
+	return common, nil
 }
 
 // mergeKeyFKSegment builds one output segment from one fact segment: the
@@ -358,7 +160,7 @@ func mergeKeyFKSegment(fs *colstore.Segment, factName, dimName string, schema, c
 // localFactGroups builds one factGroup per referenced dimension row from
 // a single fact segment: factBitmap positions are segment-local, dimRow
 // is global. A fact value missing from the dimension index is a
-// foreign-key violation, exactly as on the monolithic path.
+// foreign-key violation.
 func localFactGroups(fs *colstore.Segment, factName, dimName string, common []string, dimIndex map[string]uint64) ([]factGroup, error) {
 	if len(common) == 1 {
 		factKey, err := fs.Column(common[0])

@@ -9,16 +9,10 @@ import (
 )
 
 // Union implements UNION TABLES: combine the tuples of two tables with the
-// same schema into one table.
-//
-// Segment-wise (the default) this is pure metadata: both inputs' segments
-// are immutable, so the output is a's segment list followed by b's — zero
-// data movement, constant time. The monolithic oracle (opt.Rebuild)
-// instead concatenates each output value's bitmap: the first table's
-// vector with the second table's vector at a row offset — compressed fill
-// arithmetic, no decompression (paper Table 1; §2.3 classifies it as data
-// movement without data change). Both produce the same row sequence: a's
-// rows then b's.
+// same schema into one table. Both inputs' segments are immutable, so the
+// output is pure metadata — a's segment list followed by b's, so a's rows
+// then b's — with zero data movement, in constant time (paper Table 1;
+// §2.3 classifies it as data movement without data change).
 func Union(a, b *colstore.Table, outName string, opt Options) (*colstore.Table, error) {
 	an, bn := a.ColumnNames(), b.ColumnNames()
 	if len(an) != len(bn) {
@@ -29,66 +23,12 @@ func Union(a, b *colstore.Table, outName string, opt Options) (*colstore.Table, 
 			return nil, fmt.Errorf("evolve: union of %q and %q: column %d is %q vs %q", a.Name(), b.Name(), i, an[i], bn[i])
 		}
 	}
-	if !opt.Rebuild {
-		segs := append(a.Segments(), b.Segments()...)
-		opt.trace(fmt.Sprintf("union: adopting %d segments of %s and %d of %s unchanged (no data movement)",
-			a.NumSegments(), a.Name(), b.NumSegments(), b.Name()))
-		// A union generally breaks key uniqueness; the output carries no key.
-		return colstore.NewSegmented(outName, an, segs, nil)
-	}
-	opt.trace(fmt.Sprintf("union: concatenating %s's bitmap vectors after %s's at row offset %d", b.Name(), a.Name(), a.NumRows()))
-	outRows := a.NumRows() + b.NumRows()
-	cols := make([]*colstore.Column, len(an))
-	for i, cn := range an {
-		ca, err := a.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		cb, err := b.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		// Output dictionary: a's values then b's new values.
-		var values []string
-		index := make(map[string]int)
-		for id := 0; id < ca.DistinctCount(); id++ {
-			v := ca.Dict().Value(uint32(id))
-			index[v] = len(values)
-			values = append(values, v)
-		}
-		for id := 0; id < cb.DistinctCount(); id++ {
-			v := cb.Dict().Value(uint32(id))
-			if _, ok := index[v]; !ok {
-				index[v] = len(values)
-				values = append(values, v)
-			}
-		}
-		bitmaps := make([]*wah.Bitmap, len(values))
-		opt.forEach(len(values), func(vi int) {
-			v := values[vi]
-			var bm *wah.Bitmap
-			if id := ca.Dict().Lookup(v); id != noID {
-				bm = ca.BitmapForID(id).Clone()
-			} else {
-				bm = wah.New()
-			}
-			bm.Extend(a.NumRows())
-			if id := cb.Dict().Lookup(v); id != noID {
-				bm.Concat(cb.BitmapForID(id))
-			}
-			bitmaps[vi] = bm
-		})
-		nc, err := colstore.NewColumnFromBitmaps(cn, values, bitmaps, outRows)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = nc
-	}
+	segs := append(a.Segments(), b.Segments()...)
+	opt.trace(fmt.Sprintf("union: adopting %d segments of %s and %d of %s unchanged (no data movement)",
+		a.NumSegments(), a.Name(), b.NumSegments(), b.Name()))
 	// A union generally breaks key uniqueness; the output carries no key.
-	return colstore.NewTable(outName, cols, nil)
+	return colstore.NewSegmented(outName, an, segs, nil)
 }
-
-const noID = ^uint32(0)
 
 // Partition implements PARTITION TABLE: split a table's tuples into two
 // tables with the same schema according to a predicate. The predicate is
@@ -99,8 +39,7 @@ const noID = ^uint32(0)
 // against each segment's local dictionaries (Table.EqBitmap and
 // ScanWhereBitmap concatenate per-segment results) and FilterRowsP slices
 // the mask along segment boundaries, emitting one output segment per
-// input segment that contributes rows. opt.Rebuild changes nothing here —
-// the monolithic path and the segment-wise path are the same code.
+// input segment that contributes rows.
 func Partition(t *colstore.Table, condition string, outYes, outNo string, opt Options) (yes, no *colstore.Table, err error) {
 	pred, err := expr.Parse(condition)
 	if err != nil {

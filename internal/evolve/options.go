@@ -19,8 +19,8 @@
 // FD/key re-validation across segment boundaries). Operators emit one
 // output segment per contributing input segment, so evolution cost is
 // proportional to the segments that actually change, not the logical row
-// count. The pre-segmentation monolithic implementations are retained
-// behind Options.Rebuild as the correctness oracle.
+// count. On a one-segment table the map phase is the whole algorithm, so
+// there is no separate monolithic path.
 package evolve
 
 import (
@@ -40,12 +40,6 @@ type Options struct {
 	// dependency key → non-key in the input) and fail on violations
 	// instead of silently producing a lossy decomposition.
 	ValidateFD bool
-	// Rebuild forces the pre-segmentation monolithic algorithms: each
-	// operator consumes one stitched whole-table view and emits a
-	// single-segment output. Kept as the correctness oracle for the
-	// segment-wise default (core.Config.RebuildEvolve sets it, mirroring
-	// RebuildFlush on the write path).
-	Rebuild bool
 }
 
 func (o Options) trace(step string) {

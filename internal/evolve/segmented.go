@@ -11,8 +11,8 @@ import (
 // This file holds the shared plumbing of segment-wise evolution: helpers
 // that replace a whole-table bitmap stitch with a per-segment map phase
 // plus a dictionary-union merge phase (colstore's RemapInto kernel). Each
-// operator's own map/merge split lives next to its monolithic oracle in
-// decompose.go, merge.go and generalmerge.go.
+// operator's own map/merge split lives in decompose.go, merge.go and
+// generalmerge.go.
 
 // segmentOffsets returns the starting global row of each segment.
 func segmentOffsets(segs []*colstore.Segment) []uint64 {

@@ -1,12 +1,16 @@
 package evolve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"cods/internal/colstore"
+	"cods/internal/queryevolve"
 )
 
 // buildSegmentedTable assembles a table whose base is one segment per row
@@ -25,25 +29,93 @@ func buildSegmentedTable(t *testing.T, name string, columns []string, key []stri
 	return tab
 }
 
+// tableRows materializes every row of tab in order.
+func tableRows(t *testing.T, tab *colstore.Table) [][]string {
+	t.Helper()
+	rows, err := tab.Rows(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // assertIdenticalRows asserts both tables hold byte-identical row
-// sequences over the same schema — the segment-wise paths must reproduce
-// the monolithic row order exactly, not just the same multiset.
+// sequences over the same schema — row order included, not just the same
+// multiset.
 func assertIdenticalRows(t *testing.T, got, want *colstore.Table, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(got.ColumnNames(), want.ColumnNames()) {
 		t.Fatalf("%s: schemas differ: %v vs %v", label, got.ColumnNames(), want.ColumnNames())
 	}
-	g, err := got.Rows(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := want.Rows(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g, w) {
+	if g, w := tableRows(t, got), tableRows(t, want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: row sequences differ\ngot:  %v\nwant: %v", label, g, w)
 	}
+}
+
+// assertDecomposeMatchesQueryLevel checks a DECOMPOSE result against the
+// query-level decomposition (package queryevolve, the paper's "M"
+// comparator) run with the same orientation: the reused output is every
+// input row projected, the deduplicated output is SELECT DISTINCT over its
+// columns — the same rows, in the same order, as "first row per common
+// key" whenever the functional dependency holds.
+func assertDecomposeMatchesQueryLevel(t *testing.T, r *colstore.Table, spec DecomposeSpec, res *DecomposeResult, label string) {
+	t.Helper()
+	cols := map[string][]string{spec.OutS: spec.SColumns, spec.OutT: spec.TColumns}
+	got := map[string]*colstore.Table{spec.OutS: res.S, spec.OutT: res.T}
+	reused, dedup, err := queryevolve.Decompose(r, res.Reused, cols[res.Reused], res.Deduplicated, cols[res.Deduplicated])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalRows(t, got[res.Reused], reused, label+": reused "+res.Reused)
+	assertIdenticalRows(t, got[res.Deduplicated], dedup, label+": deduplicated "+res.Deduplicated)
+}
+
+// assertGeneralMergeMatchesQueryLevel checks a general mergence against
+// the query-level join (queryevolve.Merge) as a row multiset — the
+// general algorithm reorders rows and columns — and checks the layout
+// §2.5.2 describes: every join value's rows form one contiguous block.
+func assertGeneralMergeMatchesQueryLevel(t *testing.T, s, tt, got *colstore.Table, label string) {
+	t.Helper()
+	want, err := queryevolve.Merge(s, tt, got.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := got.ColumnNames()
+	byName := make(map[string]int)
+	for i, c := range want.ColumnNames() {
+		byName[c] = i
+	}
+	wantRows := tableRows(t, want)
+	for i, row := range wantRows {
+		reordered := make([]string, len(cols))
+		for j, c := range cols {
+			reordered[j] = row[byName[c]]
+		}
+		wantRows[i] = reordered
+	}
+	gotRows := tableRows(t, got)
+	if g, w := sortedRows(gotRows), sortedRows(wantRows); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: row multisets differ\ngot:  %v\nwant: %v", label, g, w)
+	}
+	nJoin := len(intersect(s.ColumnNames(), tt.ColumnNames()))
+	seen := make(map[string]bool)
+	prev := ""
+	for _, row := range gotRows {
+		k := strings.Join(row[:nJoin], "\x00")
+		if k != prev && seen[k] {
+			t.Fatalf("%s: join value %q is split across blocks: %v", label, k, gotRows)
+		}
+		seen[k], prev = true, k
+	}
+}
+
+// sortedRows returns a sorted copy of rows, for multiset comparison.
+func sortedRows(rows [][]string) [][]string {
+	out := append([][]string(nil), rows...)
+	sort.Slice(out, func(a, b int) bool {
+		return strings.Join(out[a], "\x00") < strings.Join(out[b], "\x00")
+	})
+	return out
 }
 
 // figure1Segmented is figure1R split into three segments with the
@@ -68,34 +140,31 @@ func figure1Segmented(t *testing.T) *colstore.Table {
 	})
 }
 
+// The tests below are named after the rebuild they compare with: the
+// query-level evolution of package queryevolve, which decodes the inputs
+// into rows and re-encodes the outputs from scratch, or rows filtered or
+// concatenated inline. None of them runs CODS's own code as the reference.
+
 func TestDecomposeSegmentedMatchesRebuild(t *testing.T) {
 	spec := DecomposeSpec{
 		OutS: "S", SColumns: []string{"Employee", "Skill"},
 		OutT: "T", TColumns: []string{"Employee", "Address"},
 	}
-	seg, err := Decompose(figure1Segmented(t), spec, Options{ValidateFD: true})
+	r := figure1Segmented(t)
+	seg, err := Decompose(r, spec, Options{ValidateFD: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := Decompose(figure1Segmented(t), spec, Options{ValidateFD: true, Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
+	if seg.Reused != "S" || seg.Deduplicated != "T" {
+		t.Fatalf("orientation: reused %q, deduplicated %q; want S, T", seg.Reused, seg.Deduplicated)
 	}
-	assertIdenticalRows(t, seg.S, mono.S, "S")
-	assertIdenticalRows(t, seg.T, mono.T, "T")
-	if seg.Reused != mono.Reused || seg.Deduplicated != mono.Deduplicated {
-		t.Fatalf("orientation differs: %q/%q vs %q/%q", seg.Reused, seg.Deduplicated, mono.Reused, mono.Deduplicated)
-	}
+	assertDecomposeMatchesQueryLevel(t, r, spec, seg, "figure 1")
 	// The deduplicated output must stay segmented: every input segment
 	// that contributed a surviving representative yields an output
 	// segment, rather than the whole table being restitched. All three
 	// input segments contribute first occurrences here.
-	dedup := seg.T
-	if seg.Deduplicated == seg.S.Name() {
-		dedup = seg.S
-	}
-	if dedup.NumSegments() != 3 {
-		t.Fatalf("deduplicated output has %d segments, want 3 (segment-wise path must not restitch)", dedup.NumSegments())
+	if seg.T.NumSegments() != 3 {
+		t.Fatalf("deduplicated output has %d segments, want 3 (segment-wise path must not restitch)", seg.T.NumSegments())
 	}
 }
 
@@ -114,27 +183,25 @@ func TestDecomposeSegmentedCompositeCommon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := Decompose(r, spec, Options{ValidateFD: true, Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
+	// (A, B) determines C but not D, so S is the deduplicated side.
+	if seg.Reused != "T" || seg.Deduplicated != "S" {
+		t.Fatalf("orientation: reused %q, deduplicated %q; want T, S", seg.Reused, seg.Deduplicated)
 	}
-	assertIdenticalRows(t, seg.S, mono.S, "S")
-	assertIdenticalRows(t, seg.T, mono.T, "T")
+	assertDecomposeMatchesQueryLevel(t, r, spec, seg, "composite")
 }
 
 func TestDecomposeSegmentedLossyErrorParity(t *testing.T) {
-	// Address does not determine Skill: both paths must reject the lossy
-	// spec under ValidateFD, with segment boundaries not hiding the
+	// Address does not determine Skill: the lossy spec must be rejected
+	// under ValidateFD, with segment boundaries not hiding the
 	// cross-segment FD violation (Jones's address maps to two skills in
 	// different segments).
 	spec := DecomposeSpec{
 		OutS: "S", SColumns: []string{"Address", "Skill"},
 		OutT: "T", TColumns: []string{"Address", "Employee"},
 	}
-	_, segErr := Decompose(figure1Segmented(t), spec, Options{ValidateFD: true})
-	_, monoErr := Decompose(figure1Segmented(t), spec, Options{ValidateFD: true, Rebuild: true})
-	if segErr == nil || monoErr == nil {
-		t.Fatalf("lossy decomposition accepted: segmented=%v rebuild=%v", segErr, monoErr)
+	_, err := Decompose(figure1Segmented(t), spec, Options{ValidateFD: true})
+	if err == nil || !strings.Contains(err.Error(), "is lossy") {
+		t.Fatalf("lossy decomposition: err = %v, want a lossy-decomposition error", err)
 	}
 }
 
@@ -160,14 +227,14 @@ func TestMergeKeyFKSegmentedMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := MergeKeyFK(fact, dim, "R", Options{Rebuild: true})
+	if seg.Reused != "Skills" {
+		t.Fatalf("reused side %q, want the fact table Skills", seg.Reused)
+	}
+	want, err := queryevolve.Merge(fact, dim, "R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalRows(t, seg.Table, mono.Table, "merged")
-	if seg.Reused != mono.Reused {
-		t.Fatalf("reused side differs: %q vs %q", seg.Reused, mono.Reused)
-	}
+	assertIdenticalRows(t, seg.Table, want, "merged")
 	// The segment-wise merge maps each fact segment independently: the
 	// output must keep the fact table's segmentation instead of being
 	// rebuilt as one segment.
@@ -182,15 +249,14 @@ func TestMergeKeyFKSegmentedMatchesRebuild(t *testing.T) {
 func TestMergeKeyFKSegmentedForeignKeyViolationParity(t *testing.T) {
 	dim, _ := segmentedDimFact(t)
 	// "Nobody" appears only in the fact's last segment — the violation
-	// must surface on both paths even though earlier segments are clean.
+	// must surface even though earlier segments are clean.
 	fact := buildSegmentedTable(t, "Skills", []string{"Employee", "Skill"}, nil, [][][]string{
 		{{"Jones", "Typing"}, {"Ellis", "Alchemy"}},
 		{{"Nobody", "Loafing"}},
 	})
-	_, segErr := MergeKeyFK(fact, dim, "R", Options{})
-	_, monoErr := MergeKeyFK(fact, dim, "R", Options{Rebuild: true})
-	if segErr == nil || monoErr == nil {
-		t.Fatalf("foreign-key violation missed: segmented=%v rebuild=%v", segErr, monoErr)
+	_, err := MergeKeyFK(fact, dim, "R", Options{})
+	if err == nil || !strings.Contains(err.Error(), "foreign-key violation") || !strings.Contains(err.Error(), "Nobody") {
+		t.Fatalf("dangling foreign key: err = %v, want a foreign-key violation naming Nobody", err)
 	}
 }
 
@@ -207,16 +273,16 @@ func TestMergeKeyFKSegmentedCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := MergeKeyFK(fact, dim, "R", Options{Rebuild: true})
+	want, err := queryevolve.Merge(fact, dim, "R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalRows(t, seg.Table, mono.Table, "composite merged")
+	assertIdenticalRows(t, seg.Table, want, "composite merged")
 }
 
 func TestMergeGeneralSegmentedMatchesRebuild(t *testing.T) {
 	// Address is a key of neither side, so Merge must take the general
-	// two-pass algorithm on both paths.
+	// two-pass algorithm.
 	s := buildSegmentedTable(t, "S", []string{"Employee", "Address"}, nil, [][][]string{
 		{{"Jones", "425 Grant Ave"}, {"Roberts", "747 Industrial Way"}},
 		{{"Ellis", "747 Industrial Way"}, {"Harrison", "425 Grant Ave"}},
@@ -225,15 +291,14 @@ func TestMergeGeneralSegmentedMatchesRebuild(t *testing.T) {
 		{{"425 Grant Ave", "1200"}},
 		{{"747 Industrial Way", "800"}, {"425 Grant Ave", "1250"}},
 	})
+	if _, err := MergeKeyFK(s, tt, "R", Options{}); !errors.Is(err, ErrNotKeyFK) {
+		t.Fatalf("key–FK mergence on unkeyed inputs: err = %v, want ErrNotKeyFK", err)
+	}
 	seg, err := MergeGeneral(s, tt, "R", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := MergeGeneral(s, tt, "R", Options{Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalRows(t, seg, mono, "general merged")
+	assertGeneralMergeMatchesQueryLevel(t, s, tt, seg, "general merged")
 }
 
 func TestMergeGeneralSegmentedCompositeJoin(t *testing.T) {
@@ -249,11 +314,7 @@ func TestMergeGeneralSegmentedCompositeJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := MergeGeneral(s, tt, "R", Options{Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalRows(t, seg, mono, "composite general merged")
+	assertGeneralMergeMatchesQueryLevel(t, s, tt, seg, "composite general merged")
 }
 
 func TestUnionSegmentedAdoptsSegments(t *testing.T) {
@@ -271,11 +332,9 @@ func TestUnionSegmentedAdoptsSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := Union(a, b, "U", Options{Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := tableRows(t, seg), append(tableRows(t, a), tableRows(t, b)...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("union rows %v, want a's rows then b's %v", got, want)
 	}
-	assertIdenticalRows(t, seg, mono, "union")
 	// The segment-wise union is pure metadata: both inputs' segments are
 	// adopted unchanged.
 	if got, want := seg.NumSegments(), a.NumSegments()+b.NumSegments(); got != want {
@@ -296,12 +355,20 @@ func TestPartitionSegmentedStaysSegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	myes, mno, err := Partition(r, "G != 'g2'", "P1", "P2", Options{Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
+	var wantYes, wantNo [][]string
+	for _, row := range tableRows(t, r) {
+		if row[1] != "g2" {
+			wantYes = append(wantYes, row)
+		} else {
+			wantNo = append(wantNo, row)
+		}
 	}
-	assertIdenticalRows(t, yes, myes, "P1")
-	assertIdenticalRows(t, no, mno, "P2")
+	if got := tableRows(t, yes); !reflect.DeepEqual(got, wantYes) {
+		t.Fatalf("P1 rows %v, want %v", got, wantYes)
+	}
+	if got := tableRows(t, no); !reflect.DeepEqual(got, wantNo) {
+		t.Fatalf("P2 rows %v, want %v", got, wantNo)
+	}
 	// Each input segment with surviving rows yields one output segment.
 	if yes.NumSegments() != 2 || no.NumSegments() != 2 {
 		t.Fatalf("partition outputs have %d/%d segments, want 2/2", yes.NumSegments(), no.NumSegments())
@@ -309,8 +376,8 @@ func TestPartitionSegmentedStaysSegmented(t *testing.T) {
 }
 
 // TestQuickSegmentedEvolutionParity randomizes tables, segment splits and
-// decompose/merge round trips, checking the segment-wise path reproduces
-// the monolithic path's exact outputs throughout.
+// decompose/merge round trips, checking every output against the
+// query-level evolution of the same input.
 func TestQuickSegmentedEvolutionParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 25; iter++ {
@@ -336,26 +403,28 @@ func TestQuickSegmentedEvolutionParity(t *testing.T) {
 			OutS: "A", SColumns: []string{"K", "G"},
 			OutT: "B", TColumns: []string{"K", "V"},
 		}
-		seg, segErr := Decompose(r, spec, Options{})
-		mono, monoErr := Decompose(r, spec, Options{Rebuild: true})
-		if (segErr == nil) != (monoErr == nil) {
-			t.Fatalf("iter %d: decompose error parity: %v vs %v", iter, segErr, monoErr)
+		// K determines G, so the FD check always finds a key: B is
+		// deduplicated when K also determines V, A otherwise.
+		seg, err := Decompose(r, spec, Options{ValidateFD: true})
+		if err != nil {
+			t.Fatalf("iter %d: decompose: %v", iter, err)
 		}
-		if segErr != nil {
-			continue
+		label := fmt.Sprintf("iter %d", iter)
+		assertDecomposeMatchesQueryLevel(t, r, spec, seg, label)
+		merged, err := Merge(seg.S, seg.T, "R2", Options{})
+		if err != nil {
+			t.Fatalf("iter %d: merge: %v", iter, err)
 		}
-		assertIdenticalRows(t, seg.S, mono.S, fmt.Sprintf("iter %d: A", iter))
-		assertIdenticalRows(t, seg.T, mono.T, fmt.Sprintf("iter %d: B", iter))
-		segM, segErr := Merge(seg.S, seg.T, "R2", Options{})
-		monoM, monoErr := Merge(mono.S, mono.T, "R2", Options{Rebuild: true})
-		if (segErr == nil) != (monoErr == nil) {
-			t.Fatalf("iter %d: merge error parity: %v vs %v", iter, segErr, monoErr)
+		fact, dim := seg.S, seg.T
+		if merged.Reused == seg.T.Name() {
+			fact, dim = seg.T, seg.S
 		}
-		if segErr != nil {
-			continue
+		want, err := queryevolve.Merge(fact, dim, "R2")
+		if err != nil {
+			t.Fatal(err)
 		}
-		assertIdenticalRows(t, segM.Table, monoM.Table, fmt.Sprintf("iter %d: merged", iter))
-		if err := segM.Table.Validate(); err != nil {
+		assertIdenticalRows(t, merged.Table, want, label+": merged")
+		if err := merged.Table.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}

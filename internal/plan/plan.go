@@ -60,9 +60,6 @@ type Query struct {
 	Limit int
 	// Parallelism bounds per-distinct-value fan-out; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableSemiJoin turns off the WAH semi-join reduction of the From
-	// scan (used by benchmarks to isolate the generic hash path).
-	DisableSemiJoin bool
 }
 
 // Resolver maps a table name to its immutable snapshot. Errors pass
@@ -279,31 +276,29 @@ func joinTree(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 	// whose key value survives on the dimension side. When the two
 	// columns share dictionary lineage (DECOMPOSE outputs do) this is
 	// pure WAH work — no row is decoded.
-	if !q.DisableSemiJoin {
-		for ji, j := range q.Joins {
-			dim := tables[ji+1]
-			for _, on := range j.On {
-				if !tables[0].HasColumn(on) || !dim.HasColumn(on) {
-					continue
-				}
-				factCol, err := tables[0].Column(on)
-				if err != nil {
-					return nil, err
-				}
-				dimCol, err := dim.Column(on)
-				if err != nil {
-					return nil, err
-				}
-				sj := colquery.SemiJoinMask(factCol, dimCol, masks[ji+1], q.Parallelism)
-				if masks[0] == nil {
-					masks[0] = sj
-				} else {
-					masks[0] = wah.And(masks[0], sj)
-				}
+	for ji, j := range q.Joins {
+		dim := tables[ji+1]
+		for _, on := range j.On {
+			if !tables[0].HasColumn(on) || !dim.HasColumn(on) {
+				continue
+			}
+			factCol, err := tables[0].Column(on)
+			if err != nil {
+				return nil, err
+			}
+			dimCol, err := dim.Column(on)
+			if err != nil {
+				return nil, err
+			}
+			sj := colquery.SemiJoinMask(factCol, dimCol, masks[ji+1], q.Parallelism)
+			if masks[0] == nil {
+				masks[0] = sj
+			} else {
+				masks[0] = wah.And(masks[0], sj)
 			}
 		}
 	}
-	needed, starOrder := neededColumns(q, tables, conjuncts)
+	needed, starOrder := neededColumns(q, tables, conjuncts, sp.pushed)
 	provided := make(map[string]bool)
 	scanCols := func(t *colstore.Table, on []string) []string {
 		var cols []string
@@ -363,8 +358,10 @@ func joinTree(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 
 // neededColumns computes the set of columns any operator consumes, and
 // the written-order star schema (From's columns, then each join's
-// non-key, not-yet-seen columns) used when Select is empty.
-func neededColumns(q Query, tables []*colstore.Table, conjuncts []expr.Node) (map[string]bool, []string) {
+// non-key, not-yet-seen columns) used when Select is empty. A conjunct
+// pushed into a scan is already answered by that scan's predicate
+// bitmap, so only residual conjuncts add their columns.
+func neededColumns(q Query, tables []*colstore.Table, conjuncts []expr.Node, pushed []int) (map[string]bool, []string) {
 	var star []string
 	seen := make(map[string]bool)
 	for _, c := range tables[0].ColumnNames() {
@@ -405,8 +402,10 @@ func neededColumns(q Query, tables []*colstore.Table, conjuncts []expr.Node) (ma
 	if q.OrderBy != "" && len(q.Aggregates) == 0 {
 		add(q.OrderBy)
 	}
-	for _, c := range conjuncts {
-		add(c.Columns(nil)...)
+	for i, c := range conjuncts {
+		if pushed[i] == residual {
+			add(c.Columns(nil)...)
+		}
 	}
 	for _, j := range q.Joins {
 		add(j.On...)

@@ -282,9 +282,12 @@ func TestEstimateRows(t *testing.T) {
 	}
 }
 
+// TestSemiJoinOnOffParity pins the rows of a star join whose From scan
+// the WAH semi-join pre-reduces: they must be exactly the rows a plain
+// hash join of the three tables yields, written out below.
 func TestSemiJoinOnOffParity(t *testing.T) {
 	res := starJoinFixture(t)
-	base := Query{
+	got, err := Run(res, Query{
 		From: "fact",
 		Joins: []Join{
 			{Table: "big", On: []string{"BK"}},
@@ -292,22 +295,53 @@ func TestSemiJoinOnOffParity(t *testing.T) {
 		},
 		Where:   "SmallV = 'odd'",
 		OrderBy: "V",
-	}
-	on, err := Run(res, base)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := base
-	off.DisableSemiJoin = true
-	offRS, err := Run(res, off)
+	want := &colquery.ResultSet{Columns: []string{"BK", "SK", "V", "BigV", "SmallV"}}
+	for i := 1; i < 40; i += 2 {
+		want.Rows = append(want.Rows, []string{
+			fmt.Sprintf("b%d", i%20), "s1", fmt.Sprint(i), fmt.Sprintf("big%d", i%20), "odd",
+		})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestJoinScansSkipPushedColumns: a conjunct pushed into a scan is
+// answered by that scan's predicate bitmap, so its column is not decoded.
+// For a count over S ⋈ T with C = 'x' pushed into T, the only needed
+// column is the join key, so T's build scan projects A alone.
+func TestJoinScansSkipPushedColumns(t *testing.T) {
+	s := mkTable(t, "S", []string{"A", "B"}, [][]string{{"a1", "b1"}, {"a2", "b2"}})
+	tt := mkTable(t, "T", []string{"A", "C"}, [][]string{{"a1", "x"}, {"a2", "y"}})
+	q := Query{
+		From:       "S",
+		Joins:      []Join{{Table: "T", On: []string{"A"}}},
+		Where:      "C = 'x'",
+		Aggregates: []colquery.Agg{{Func: colquery.Count}},
+	}
+	tables := []*colstore.Table{s, tt}
+	conjuncts, err := splitWhere(q.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(on, offRS) {
-		t.Fatalf("semi-join on: %+v\nsemi-join off: %+v", on, offRS)
+	sp := makeSpec(q, tables, conjuncts)
+	if want := []int{1}; !reflect.DeepEqual(sp.pushed, want) {
+		t.Fatalf("pushed = %v, want %v", sp.pushed, want)
 	}
-	if len(on.Rows) != 20 {
-		t.Fatalf("got %d rows, want the 20 odd fact rows", len(on.Rows))
+	needed, _ := neededColumns(q, tables, conjuncts, sp.pushed)
+	if want := map[string]bool{"A": true}; !reflect.DeepEqual(needed, want) {
+		t.Fatalf("needed = %v, want %v", needed, want)
+	}
+	rs, err := Run(resolver(s, tt), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"1"}}; !reflect.DeepEqual(rs.Rows, want) {
+		t.Fatalf("rows = %v, want %v", rs.Rows, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Write-path benchmarks -> BENCH_writes.json.
 #
-# Two series, both at a fixed statement count so ns/op is comparable
+# Three series, each at a fixed statement count so ns/op is comparable
 # across runs and PRs:
 #
 #  - "sustained-keyed": BenchmarkSustainedKeyedWrites (50000 statements by
@@ -9,13 +9,13 @@
 #    retention configuration.
 #  - "huge-table": BenchmarkHugeTableSustainedWrites (20000 statements by
 #    default, override with BENCH_HUGE_N) — the same stream over 100k and
-#    1M base rows in segmented vs rebuild flush mode, the flat-vs-linear
-#    evidence for the segmented base storage. Set CODS_BENCH_HUGE=1 to add
-#    the 10M-row point (needs several GB of RAM).
+#    1M base rows through the segmented flush, whose per-statement cost
+#    must stay flat as the base grows. Set CODS_BENCH_HUGE=1 to add the
+#    10M-row point (needs several GB of RAM).
 #  - "evolution": BenchmarkEvolutionDecompose (20 iterations by default,
 #    override with BENCH_EVOLVE_N) — DECOMPOSE on a segmented 1M-row
-#    table (99% merged base, 1% tail), segment-wise map/merge evolution
-#    vs the monolithic rebuild oracle (RebuildEvolve).
+#    table (99% merged base, 1% tail) through the segment-wise map/merge
+#    evolution path.
 set -e
 n=${BENCH_WRITES_N:-50000}
 hn=${BENCH_HUGE_N:-20000}
