@@ -567,8 +567,8 @@ func BenchmarkReadLatencyDuringEvolution(b *testing.B) {
 
 // BenchmarkMixedWorkload is the HTAP-shaped counterpart of
 // BenchmarkReadLatencyDuringEvolution: one DB takes interleaved DML
-// (through the delta overlay), bitmap count queries (merged base+delta
-// without flushing), grouped aggregates (which flush the overlay), and a
+// (through the delta overlay), bitmap count queries and grouped
+// aggregates (both on the flushed table, built once per version), and a
 // periodic PARTITION/UNION evolution cycle (which flushes before
 // evolving). It tracks the cost of the write path the delta overlay
 // opens, so the perf trajectory covers writes, not just reads and

@@ -12,7 +12,7 @@
 //
 // With script arguments, each file is executed and the process exits;
 // otherwise an interactive prompt starts. Type \help at the prompt for the
-// meta commands (display, load, save, advise, rollback, ...); any other
+// meta commands (display, load, save, rollback, ...); any other
 // line is parsed as a Schema Modification Operator.
 //
 // The serve subcommand runs the HTTP/JSON serving layer (see

@@ -3,10 +3,10 @@ package cods
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
-	"cods/internal/advisor"
 	"cods/internal/colquery"
 	"cods/internal/colstore"
 	"cods/internal/core"
@@ -434,13 +434,15 @@ func (s *Snapshot) NumRows(table string) (uint64, error) {
 }
 
 // Rows materializes up to limit rows of a table starting at offset (limit
-// 0 means all), pending DML included.
+// 0 means all), pending DML included: surviving base rows in base order,
+// then appended rows in insertion order. It pages the flushed table,
+// which a dirty overlay builds once per version and caches.
 func (s *Snapshot) Rows(table string, offset, limit uint64) ([][]string, error) {
-	ov, err := s.cat.Overlay(table)
+	t, err := s.cat.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	return ov.Rows(offset, limit)
+	return t.Rows(offset, limit)
 }
 
 // Describe returns schema and storage statistics for a table. Rows is
@@ -472,33 +474,47 @@ func (s *Snapshot) Describe(table string) (*TableInfo, error) {
 }
 
 // Query returns the rows of a table satisfying a condition (same syntax
-// as PARTITION TABLE's WHERE). Base rows evaluate on the bitmap index;
-// rows appended by pending DML merge in without materializing the table.
+// as PARTITION TABLE's WHERE), in table order. It is RunQuery with only
+// a WHERE: the condition is evaluated on the flushed table's bitmap
+// index, pending DML included.
 func (s *Snapshot) Query(table, condition string) ([][]string, error) {
-	ov, err := s.cat.Overlay(table)
+	if err := s.requireCondition(table, condition); err != nil {
+		return nil, err
+	}
+	rs, err := s.RunQuery(table, TableQuery{Where: condition})
 	if err != nil {
 		return nil, err
 	}
-	pred, err := expr.Parse(condition)
-	if err != nil {
-		return nil, err
-	}
-	return ov.Query(pred)
+	return rs.Rows, nil
 }
 
 // Count returns the number of rows satisfying a condition without
-// materializing them (a compressed popcount over the base plus a scan of
-// the delta overlay's appended tail).
+// materializing them: RunQuery's count(*), a compressed popcount over
+// the flushed table's predicate bitmap.
 func (s *Snapshot) Count(table, condition string) (uint64, error) {
-	ov, err := s.cat.Overlay(table)
+	if err := s.requireCondition(table, condition); err != nil {
+		return 0, err
+	}
+	rs, err := s.RunQuery(table, TableQuery{Aggregates: []Agg{{Func: Count}}, Where: condition})
 	if err != nil {
 		return 0, err
 	}
-	pred, err := expr.Parse(condition)
-	if err != nil {
-		return 0, err
+	return strconv.ParseUint(rs.Rows[0][0], 10, 64)
+}
+
+// requireCondition rejects an empty condition with the condition
+// parser's own error, after the table lookup as for any other condition:
+// Query and Count filter by a condition, while RunQuery reads an empty
+// Where as "all rows".
+func (s *Snapshot) requireCondition(table, condition string) error {
+	if condition != "" {
+		return nil
 	}
-	return ov.Count(pred)
+	if _, err := s.cat.Overlay(table); err != nil {
+		return err
+	}
+	_, err := expr.Parse(condition)
+	return err
 }
 
 // RunQuery executes a query with optional joins, filtering, grouping,
@@ -722,9 +738,10 @@ func toResult(r *core.Result) *Result {
 //
 // DML executes against a per-table delta overlay (appended rows plus a
 // deletion bitmap over the immutable base), published copy-on-write like
-// every other catalog change: reads merge base and delta transparently,
-// a running evolution never observes half a statement, and Checkpoint
-// (or Compact) folds the overlay into a rebuilt base. An evolution
+// every other catalog change: reads see pending DML through the flushed
+// table (built once per version and cached), a running evolution never
+// observes half a statement, and Checkpoint (or Compact) folds the
+// overlay into a rebuilt base. An evolution
 // operator over a table with pending DML flushes the delta first, so
 // DECOMPOSE/MERGE semantics are unchanged. Declared keys are enforced:
 // INSERT rejects duplicate key values and UPDATE of a key column
@@ -959,23 +976,23 @@ func (db *DB) NumRows(table string) (uint64, error) {
 }
 
 // Rows materializes up to limit rows of a table starting at offset (limit
-// 0 means all).
+// 0 means all), pending DML included (see Snapshot.Rows).
 // cods:lockfree
 func (db *DB) Rows(table string, offset, limit uint64) ([][]string, error) {
 	return db.Snapshot().Rows(table, offset, limit)
 }
 
 // Query returns the rows of a table satisfying a condition (same syntax
-// as PARTITION TABLE's WHERE). The condition is evaluated on the bitmap
-// index — once per distinct value, not once per row, fanned out over the
-// configured Parallelism.
+// as PARTITION TABLE's WHERE) through the planner, like RunQuery. The
+// condition is evaluated on the bitmap index — once per distinct value,
+// not once per row, fanned out over the configured Parallelism.
 // cods:lockfree
 func (db *DB) Query(table, condition string) ([][]string, error) {
 	return db.Snapshot().Query(table, condition)
 }
 
 // Count returns the number of rows satisfying a condition without
-// materializing them (a compressed popcount).
+// materializing them (RunQuery's count(*), a compressed popcount).
 // cods:lockfree
 func (db *DB) Count(table, condition string) (uint64, error) {
 	return db.Snapshot().Count(table, condition)
@@ -1132,44 +1149,6 @@ func (db *DB) History() []HistoryEntry {
 // cods:lockfree
 func (db *DB) HistoryTail(limit int) []HistoryEntry {
 	return db.Snapshot().HistoryTail(limit)
-}
-
-// FDSuggestion is a decomposition opportunity discovered from the data: a
-// functional dependency makes part of a table redundant, and Operator is
-// the ready-to-run DECOMPOSE TABLE statement that removes the redundancy.
-type FDSuggestion struct {
-	// Operator is the suggested SMO in Exec syntax.
-	Operator string
-	// FDs describes the discovered dependencies justifying it.
-	FDs []string
-	// SavedCells estimates how many redundant attribute cells the
-	// decomposition removes.
-	SavedCells uint64
-}
-
-// Advise discovers functional dependencies in a table's data and suggests
-// decompositions, ranked by removed redundancy. This serves the paper's
-// "new information about the data" evolution scenario (§1): the advisor
-// produces the knowledge, Exec applies it.
-// cods:lockfree
-func (db *DB) Advise(table string) ([]FDSuggestion, error) {
-	t, err := db.engine.Catalog().Table(table)
-	if err != nil {
-		return nil, err
-	}
-	suggestions, err := advisor.Suggest(t)
-	if err != nil {
-		return nil, err
-	}
-	var out []FDSuggestion
-	for _, s := range suggestions {
-		fs := FDSuggestion{Operator: s.Op.String(), SavedCells: s.SavedCells}
-		for _, fd := range s.FDs {
-			fs.FDs = append(fs.FDs, fd.String())
-		}
-		out = append(out, fs)
-	}
-	return out, nil
 }
 
 // Validate checks the structural invariants of every table (per-value

@@ -84,6 +84,22 @@ func TestQueryAndCount(t *testing.T) {
 	if _, err := db.Query("R", "bad syntax ~"); err == nil {
 		t.Fatal("bad condition should fail")
 	}
+	// Query and Count filter by a condition: an empty one is a parse
+	// error, not "all rows" as RunQuery's empty Where is.
+	if _, err := db.Query("R", ""); err == nil {
+		t.Fatal("empty Query condition should fail")
+	}
+	if _, err := db.Count("R", ""); err == nil {
+		t.Fatal("empty Count condition should fail")
+	}
+	// No match is an empty, non-nil result and a zero count.
+	rows, err = db.Query("R", "Employee = 'Nobody'")
+	if err != nil || rows == nil || len(rows) != 0 {
+		t.Fatalf("no-match Query = %#v (%v), want empty non-nil", rows, err)
+	}
+	if n, err := db.Count("R", "Employee = 'Nobody'"); err != nil || n != 0 {
+		t.Fatalf("no-match Count = %d (%v), want 0", n, err)
+	}
 	if _, err := db.Count("Nope", "x = 1"); err == nil {
 		t.Fatal("missing table should fail")
 	}
@@ -260,27 +276,6 @@ func TestRunQuery(t *testing.T) {
 	}
 	if _, err := db.RunQuery("R", TableQuery{Aggregates: []Agg{{Func: AggFunc(99)}}}); err == nil {
 		t.Fatal("unknown aggregate should fail")
-	}
-}
-
-func TestAdvise(t *testing.T) {
-	db := openWithR(t)
-	suggestions, err := db.Advise("R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(suggestions) == 0 {
-		t.Fatal("no suggestions for Figure 1's table")
-	}
-	// The top suggestion must be executable and preserve the data.
-	if _, err := db.Exec(suggestions[0].Operator); err != nil {
-		t.Fatalf("suggested operator %q failed: %v", suggestions[0].Operator, err)
-	}
-	if err := db.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Advise("Nope"); err == nil {
-		t.Fatal("unknown table should fail")
 	}
 }
 

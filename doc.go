@@ -44,13 +44,14 @@
 // each catalog entry is a base table plus a delta overlay
 // (internal/delta) of appended rows and a deletion bitmap, derived
 // copy-on-write per statement and published like any other catalog
-// change. Reads merge base and delta transparently; an evolution
-// operator over a table with pending DML flushes the delta into the base
-// first; Checkpoint compacts overlays the same way. DML statements
-// are WAL-journaled as text and replayed on recovery like SMOs. The
-// write path is amortized O(1) per keyed statement: a per-lineage key
-// index of the appended tail answers INSERT conflicts and point
-// DELETE/UPDATE matches without scanning pending rows.
+// change. Reads see pending DML through the flushed table — the overlay
+// folded into its base once per version, cached, then planned like any
+// other table; an evolution operator over a table with pending DML
+// consumes the same flush; Checkpoint compacts overlays the same way.
+// DML statements are WAL-journaled as text and replayed on recovery like
+// SMOs. The write path is amortized O(1) per keyed statement: a
+// per-lineage key index of the appended tail answers INSERT conflicts
+// and point DELETE/UPDATE matches without scanning pending rows.
 //
 // # Queries and the join planner
 //

@@ -141,9 +141,9 @@ func (c *Catalog) Table(name string) (*colstore.Table, error) {
 }
 
 // Overlay returns the named table's delta overlay — the base table plus
-// pending DML — or an error wrapping ErrNoTable. Read paths that can
-// merge base and delta without flushing (counts, filtered row reads) use
-// it to skip materialization.
+// pending DML — or an error wrapping ErrNoTable. Metadata reads (schema,
+// row count, column statistics) use it to skip the flush; every data
+// read goes through Table.
 func (c *Catalog) Overlay(name string) (*delta.Overlay, error) {
 	if ov, ok := c.tables[name]; ok {
 		return ov, nil

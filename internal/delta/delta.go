@@ -8,16 +8,16 @@
 // published catalog snapshots stay immutable and lock-free readers keep
 // working unchanged while writes commit.
 //
-// Reads merge base and delta: filtered reads evaluate predicates on the
-// base's bitmap index as usual, mask out deleted rows with one compressed
-// AND-NOT, and scan only the (small) appended tail row-wise with
-// expr.Node.EvalRow. Whole-table access (aggregation queries, evolution
-// operators, checkpoints) goes through Table, which flushes the overlay
-// into a rebuilt base — computed at most once per overlay version and
-// cached, so an evolution operator or checkpoint "compacting the delta"
-// is the same code path as a heavy read. Schema Modification Operators
-// always consume the flushed table, which keeps the paper's evolution
-// algorithms oblivious to DML.
+// Every data read goes through Table (NumRows alone is arithmetic over
+// the overlay), which flushes the overlay into a rebuilt base — computed at most once per overlay version and cached —
+// and the planner (internal/plan) runs on that table's bitmap index. So
+// a query, an evolution operator and a checkpoint "compacting the delta"
+// share one code path. The overlay itself never answers a read; it
+// evaluates predicates only to find the rows a DELETE or UPDATE hits
+// (bitmaps over the base, masked by deletions with one compressed
+// AND-NOT, plus a row-wise scan of the small appended tail). Schema
+// Modification Operators always consume the flushed table, which keeps
+// the paper's evolution algorithms oblivious to DML.
 package delta
 
 import (
@@ -60,8 +60,8 @@ type arena struct {
 	// its slot in the shared backing array; nil when the table declares
 	// no key (the field itself is set at arena construction and never
 	// reassigned). Guarded by mu together with tip: claims write it and
-	// lock-free snapshot readers probe it through tailKeyAt (point
-	// Count/Query), so every access to the map contents holds mu. Bulk
+	// tailKeyAt probes it (point DELETE/UPDATE and the INSERT key
+	// check), so every such access to the map contents holds mu. Bulk
 	// iteration (shiftedKeys, the non-key UPDATE carry-over) runs only on
 	// the write path, where the engine's writer mutex already excludes
 	// the claims that mutate it.
@@ -221,12 +221,11 @@ func (o *Overlay) shiftedKeys(drop map[int]bool, di []int) map[string]int {
 // tailKeyAt returns the slot of the live appended row holding the key
 // tuple kt, or -1. A view of length len(o.added) ignores arena entries
 // claimed beyond it (newer versions of the lineage). The lookup takes
-// the arena mutex: lock-free snapshot readers reach it through
-// matchAdded (point Count/Query) while the lineage tip may be claiming
-// a slot — and a claim writes the shared map, so an unguarded read
-// would be a map race, not just a stale value. The critical section is
-// one map probe; readers still never wait on a statement, only on
-// another O(1) lookup or claim.
+// the arena mutex: an overlay is immutable and safe to share, so a DML
+// derivation from an older version may probe the map while the lineage
+// tip claims a slot — and a claim writes the shared map, so an
+// unguarded read would be a map race, not just a stale value. The
+// critical section is one map probe.
 func (o *Overlay) tailKeyAt(kt string) int {
 	if o.ar == nil || o.ar.keys == nil {
 		return -1
@@ -635,140 +634,6 @@ func (o *Overlay) Update(column, value, condition string) (*Overlay, uint64, err
 	return n, changed, nil
 }
 
-// Count returns the number of merged rows satisfying pred (nil = all)
-// without materializing them: a compressed popcount over the base plus a
-// row-wise scan of the appended tail. Callers own the parse (the facade
-// parses each condition exactly once).
-func (o *Overlay) Count(pred expr.Node) (uint64, error) {
-	live, err := o.liveBaseMatches(pred)
-	if err != nil {
-		return 0, err
-	}
-	addedHit, err := o.matchAdded(pred)
-	if err != nil {
-		return 0, err
-	}
-	return live.Count() + uint64(len(addedHit)), nil
-}
-
-// Query returns the merged rows satisfying pred (nil = all): base
-// matches via bitmap filtering (deleted rows masked out), then matching
-// appended rows in insertion order.
-func (o *Overlay) Query(pred expr.Node) ([][]string, error) {
-	live, err := o.liveBaseMatches(pred)
-	if err != nil {
-		return nil, err
-	}
-	filtered, err := o.base.FilterRowsP(o.Name(), live, o.parallelism)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := filtered.Rows(0, 0)
-	if err != nil {
-		return nil, err
-	}
-	addedHit, err := o.matchAdded(pred)
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range addedHit {
-		// Copy: result rows are the caller's to mutate, overlay rows are
-		// shared by every snapshot holding this version.
-		rows = append(rows, append([]string(nil), o.added[i]...))
-	}
-	return rows, nil
-}
-
-// Rows materializes up to limit merged rows starting at offset (0 = all
-// remaining) without flushing: surviving base rows in base order, then
-// the appended tail in insertion order — the same order a flush
-// produces, so paging is stable across calls and across compaction.
-// With deletions, the requested page of base positions is turned into a
-// bitmap and served by the usual filter primitive; the flush is
-// reserved for Table.
-func (o *Overlay) Rows(offset, limit uint64) ([][]string, error) {
-	if !o.Dirty() {
-		return o.base.Rows(offset, limit)
-	}
-	total := o.NumRows()
-	if offset == 0 && (limit == 0 || limit >= total) && o.nDeleted > 0 {
-		// A whole-table read over a deletion-dirty overlay costs the same
-		// as a flush; go through Table so the work is cached and repeat
-		// full reads (exports, dumps) are free after the first.
-		t, err := o.Table()
-		if err != nil {
-			return nil, err
-		}
-		return t.Rows(0, 0)
-	}
-	if offset > total {
-		offset = total
-	}
-	end := total
-	if limit > 0 && limit < end-offset {
-		end = offset + limit
-	}
-	nLive := o.base.NumRows() - o.nDeleted
-	var out [][]string
-	if offset < nLive {
-		bEnd := min(end, nLive)
-		if o.nDeleted == 0 {
-			rows, err := o.base.Rows(offset, bEnd-offset)
-			if err != nil {
-				return nil, err
-			}
-			out = rows
-		} else {
-			// Decode only the requested page of live positions: skip the
-			// first offset set bits run-at-a-time (O(compressed words),
-			// not O(offset)), stop after the page is full — never
-			// materialize all live positions for one page.
-			positions := make([]uint64, 0, bEnd-offset)
-			skip := offset
-			o.deleted.Not().Runs(func(start, length uint64) bool {
-				if skip >= length {
-					skip -= length
-					return true
-				}
-				start, length = start+skip, length-skip
-				skip = 0
-				for i := uint64(0); i < length; i++ {
-					positions = append(positions, start+i)
-					if uint64(len(positions)) == bEnd-offset {
-						return false
-					}
-				}
-				return true
-			})
-			mask, err := wah.FromPositions(positions, o.base.NumRows())
-			if err != nil {
-				return nil, err
-			}
-			page, err := o.base.FilterRowsP(o.Name(), mask, o.parallelism)
-			if err != nil {
-				return nil, err
-			}
-			if out, err = page.Rows(0, 0); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if end > nLive {
-		start := uint64(0)
-		if offset > nLive {
-			start = offset - nLive
-		}
-		for _, row := range o.added[start : end-nLive] {
-			out = append(out, append([]string(nil), row...))
-		}
-	}
-	if out == nil {
-		// Match Table.Rows: an empty page is an empty slice, not nil.
-		out = [][]string{}
-	}
-	return out, nil
-}
-
 // Table returns the merged table: the base itself when the overlay is
 // clean, otherwise a rebuilt base with deletions applied and appended
 // rows at the tail (flush). The flush runs at most once per overlay and
@@ -788,8 +653,8 @@ func (o *Overlay) Table() (*colstore.Table, error) {
 // segments are dropped), and the appended tail is sealed into one new
 // segment with fresh per-column dictionaries. Cost is O(tail + deleted
 // segments), not O(table) — the flat per-statement write cost the
-// segmented store exists for. Row order is the one Rows reads without
-// flushing: surviving base rows in base order, then appended rows in
+// segmented store exists for. Row order is the merged order every read
+// sees: surviving base rows in base order, then appended rows in
 // insertion order.
 func (o *Overlay) flush() (*colstore.Table, error) {
 	segs := o.base.Segments()

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // NoID is returned by Lookup for values absent from the dictionary.
@@ -67,16 +66,6 @@ func (d *Dict) Clone() *Dict {
 		c.ids[v] = uint32(i)
 	}
 	return c
-}
-
-// SortedIDs returns all ids ordered by their values' lexicographic order.
-func (d *Dict) SortedIDs() []uint32 {
-	ids := make([]uint32, len(d.values))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool { return d.values[ids[a]] < d.values[ids[b]] })
-	return ids
 }
 
 // WriteTo writes the dictionary in a length-prefixed binary format.

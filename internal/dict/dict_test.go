@@ -61,24 +61,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSortedIDs(t *testing.T) {
-	d := New()
-	for _, v := range []string{"pear", "apple", "zebra", "mango"} {
-		d.Intern(v)
-	}
-	ids := d.SortedIDs()
-	var got []string
-	for _, id := range ids {
-		got = append(got, d.Value(id))
-	}
-	want := []string{"apple", "mango", "pear", "zebra"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	d := New()
 	for i := 0; i < 57; i++ {

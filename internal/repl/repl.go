@@ -87,7 +87,6 @@ const helpText = `meta commands:
   \rollback <version>         restore an earlier schema version
   \memstats                   retention / delta-overlay / segment gauges
   \validate                   check table invariants
-  \advise <table>             discover FDs and suggest decompositions
   \quit                       exit
 operators: CREATE/DROP/RENAME/COPY TABLE, UNION TABLES, PARTITION TABLE,
 DECOMPOSE TABLE, MERGE TABLES, ADD/DROP/RENAME COLUMN
@@ -268,27 +267,6 @@ func (rp *Repl) meta(line string) (quit bool) {
 			return false
 		}
 		fmt.Fprintln(out, "all tables validate")
-	case `\advise`:
-		if len(fields) < 2 {
-			fmt.Fprintln(out, "usage: \\advise <table>")
-			return false
-		}
-		suggestions, err := db.Advise(fields[1])
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return false
-		}
-		if len(suggestions) == 0 {
-			fmt.Fprintln(out, "no decomposition opportunities found")
-			return false
-		}
-		for i, s := range suggestions {
-			fmt.Fprintf(out, "%d. %s\n", i+1, s.Operator)
-			for _, fd := range s.FDs {
-				fmt.Fprintf(out, "     because %s\n", fd)
-			}
-			fmt.Fprintf(out, "     removes ~%d redundant cells\n", s.SavedCells)
-		}
 	default:
 		fmt.Fprintln(out, "unknown command; try \\help")
 	}

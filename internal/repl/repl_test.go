@@ -109,14 +109,6 @@ func TestHistoryRollbackValidate(t *testing.T) {
 	}
 }
 
-func TestAdviseCommand(t *testing.T) {
-	rp, out := newRepl(t)
-	got := runLines(t, rp, out, `\advise R`)
-	if !strings.Contains(got, "DECOMPOSE TABLE R") || !strings.Contains(got, "Employee -> Address") {
-		t.Fatalf("advise: %s", got)
-	}
-}
-
 func TestLoadExportSave(t *testing.T) {
 	rp, out := newRepl(t)
 	dir := t.TempDir()

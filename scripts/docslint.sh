@@ -23,6 +23,10 @@
 #    keyword()/expectKeyword() literals) must appear in README.md's
 #    query-syntax docs, so a grammar extension cannot land
 #    undocumented.
+# 7. The delta overlay must not grow a read path of its own: a Query,
+#    Count or Rows method on delta.Overlay fails the check, since every
+#    data read goes through the planner (plan.Run) over the flushed
+#    table (Overlay.Table).
 #
 # Run from the repository root (CI's docs-lint step, `make docs-lint`).
 set -u
@@ -160,5 +164,17 @@ if [ -n "$viol" ]; then
     fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "docslint: all packages documented, benchmark, flag, grammar, and codslint docs consistent"
+# One read path: internal/delta answers no query itself.
+viol=$(
+    grep -nE '^func \(o \*Overlay\) (Query|Count|Rows)\(' internal/delta/*.go |
+    while IFS=: read -r file line _; do
+        echo "docslint: $file:$line: Overlay read method; reads go through plan.Run and Overlay.Table"
+    done
+)
+if [ -n "$viol" ]; then
+    echo "$viol"
+    fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "docslint: all packages documented, benchmark, flag, grammar, and codslint docs consistent, one read path"
 exit $fail

@@ -313,10 +313,10 @@ func checkDecomposeJoinOracle(t *testing.T, step int, db *cods.DB, pre [][]strin
 
 // compareWithModel asserts the engine matches the model: the same table
 // set, and per table the same columns, declared key and row sequence,
-// plus matching results for a point query on the key and a count on a
-// payload column — these take the bitmap scan paths (the equality fast
-// path for the non-integer key literal; a predicate scan for !=) and
-// the overlay's row-wise scan of its pending tail.
+// one random page of rows, plus matching results for a point query on
+// the key and a count on a payload column — these take the planner's
+// bitmap scan paths over the flushed table (the equality fast path for
+// the non-integer key literal; a predicate scan for !=).
 func compareWithModel(t *testing.T, step int, db *cods.DB, m *rowModel, nextKey int, rng *rand.Rand) {
 	t.Helper()
 	if got, want := db.Tables(), slices.Sorted(maps.Keys(m.tables)); !reflect.DeepEqual(got, want) {
@@ -341,6 +341,19 @@ func compareWithModel(t *testing.T, step int, db *cods.DB, m *rowModel, nextKey 
 		}
 		if !slices.EqualFunc(rows, mt.rows, slices.Equal[[]string]) {
 			t.Fatalf("step %d: table %s rows differ from the model\nengine: %v\nmodel:  %v", step, name, rows, mt.rows)
+		}
+		// One random page, its bounds drawn past both ends: an offset
+		// beyond the table is an empty page, a limit of 0 means "to the
+		// end".
+		off, lim := uint64(rng.Intn(len(mt.rows)+3)), uint64(rng.Intn(len(mt.rows)+2))
+		page, err := db.Rows(name, off, lim)
+		lo := min(off, uint64(len(mt.rows)))
+		hi := uint64(len(mt.rows))
+		if lim > 0 {
+			hi = min(lo+lim, hi)
+		}
+		if want := mt.rows[lo:hi]; err != nil || page == nil || !slices.EqualFunc(page, want, slices.Equal[[]string]) {
+			t.Fatalf("step %d: rows(%s, %d, %d) = %v (%v), model %v", step, name, off, lim, page, err, want)
 		}
 		k := cond{col: "K", val: fmt.Sprintf("k%04d", rng.Intn(nextKey))}
 		got, err := db.Query(name, k.String())

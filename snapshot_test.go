@@ -169,6 +169,12 @@ func TestErrNoTableFromReads(t *testing.T) {
 	if _, err := db.Query("ghost", "a = 'x'"); !errors.Is(err, cods.ErrNoTable) {
 		t.Fatalf("Query: err = %v, want ErrNoTable", err)
 	}
+	if _, err := db.Count("ghost", "a = 'x'"); !errors.Is(err, cods.ErrNoTable) {
+		t.Fatalf("Count: err = %v, want ErrNoTable", err)
+	}
+	if _, err := db.Query("ghost", ""); !errors.Is(err, cods.ErrNoTable) {
+		t.Fatalf("Query with empty condition: err = %v, want ErrNoTable", err)
+	}
 	if _, err := db.RunQuery("ghost", cods.TableQuery{}); !errors.Is(err, cods.ErrNoTable) {
 		t.Fatalf("RunQuery: err = %v, want ErrNoTable", err)
 	}
