@@ -203,10 +203,11 @@ func BenchmarkAblationFilter(b *testing.B) {
 	for i := uint64(0); i < 1000; i++ {
 		positions = append(positions, i*(n/1000))
 	}
-	mask, err := wah.FromPositions(positions, n)
-	if err != nil {
-		b.Fatal(err)
+	mask := wah.New()
+	for _, p := range positions {
+		mask.Add(p)
 	}
+	mask.Extend(n)
 
 	b.Run("compressed-filter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -806,7 +807,9 @@ func BenchmarkJoinDecomposedVsScan(b *testing.B) {
 
 // BenchmarkEvolutionDecompose measures a schema evolution on a segmented
 // 1M-row table: 99% of the rows sit in one merged base segment and 1% in
-// a flushed tail, the steady state the tiered merge policy converges to.
+// a flushed tail, the steady state the tiered merge policy converges to
+// (a segment more than twice the rows behind it is not merged with them,
+// so 990k + 10k stays two segments).
 // Each iteration inserts one row (so the evolution always sees a fresh
 // table — no memoized stitching survives between iterations), runs
 // DECOMPOSE through the segment-wise map/merge evolution path, and rolls
@@ -816,7 +819,7 @@ func BenchmarkEvolutionDecompose(b *testing.B) {
 	const baseRows = 990_000
 	const tailRows = 10_000
 	b.Run("segmentwise", func(b *testing.B) {
-		db := cods.Open(cods.Config{RetainVersions: 8, SegmentMergeRatio: -1})
+		db := cods.Open(cods.Config{RetainVersions: 8})
 		rows := make([][]string, baseRows)
 		for i := range rows {
 			g := i % 32

@@ -7,8 +7,7 @@
 //
 //	cods [-dir dbdir] [-validate] [-quiet] [script.smo ...]
 //	cods serve [-addr :8344] [-dir dbdir] [-max-inflight N]
-//	           [-parallelism N] [-retain N] [-autocompact N]
-//	           [-merge-ratio N] [-quiet]
+//	           [-retain N] [-autocompact N] [-quiet]
 //
 // With script arguments, each file is executed and the process exits;
 // otherwise an interactive prompt starts. Type \help at the prompt for the
@@ -126,10 +125,8 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8344", "listen address")
 	dir := fs.String("dir", "", "durable database directory (in-memory when empty)")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrently served requests (0 = 4×GOMAXPROCS)")
-	parallelism := fs.Int("parallelism", 0, "per-request bitmap-work parallelism (0 = GOMAXPROCS)")
 	retain := fs.Int("retain", 0, "rollback-able previous schema versions kept after each statement (0 = all)")
 	autoCompact := fs.Int("autocompact", 0, "compact a table's delta overlay once it holds this many pending rows (0 = only at checkpoints)")
-	mergeRatio := fs.Int("merge-ratio", 0, "tiered segment-merge size ratio (0 = default 2, negative = never merge)")
 	quiet := fs.Bool("quiet", false, "suppress the per-request log")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -137,10 +134,7 @@ func runServe(args []string) error {
 
 	installCrashPoint()
 	logger := log.New(os.Stderr, "cods-serve ", log.LstdFlags)
-	cfg := cods.Config{
-		Parallelism: *parallelism, RetainVersions: *retain, AutoCompactPending: *autoCompact,
-		SegmentMergeRatio: *mergeRatio,
-	}
+	cfg := cods.Config{RetainVersions: *retain, AutoCompactPending: *autoCompact}
 	var db *cods.DB
 	var err error
 	if *dir != "" {

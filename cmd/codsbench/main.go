@@ -16,12 +16,12 @@
 //	          [-zipf s] [-read pct] [-scan pct] [-write pct]
 //	          [-smo-interval d] [-workers n] [-duration d] [-rate ops/s]
 //	          [-transport inproc|http] [-addr http://host:port]
-//	          [-retain n] [-autocompact n] [-parallelism n]
+//	          [-retain n] [-autocompact n]
 //	          [-out BENCH_htap.json] [-seed n] [-quiet]
 //	          [-slo-read-p99 d] [-slo-scan-p99 d] [-slo-write-p99 d]
 //	          [-slo-smo-p99 d]
 //
-//	codsbench joins [-rows N] [-dim N] [-parallelism n] [-seed n]
+//	codsbench joins [-rows N] [-dim N] [-seed n]
 //	          [-out BENCH_joins.json] [-quiet]
 //
 // In the default mode the default row count (2,000,000) keeps a full
@@ -72,13 +72,12 @@ func joinsMain(args []string) {
 	fs := flag.NewFlagSet("codsbench joins", flag.ExitOnError)
 	rows := fs.Int("rows", 1_000_000, "fact-table rows")
 	dim := fs.Int("dim", 10_000, "dimension rows (distinct join keys)")
-	parallelism := fs.Int("parallelism", 0, "per-distinct-value fan-out (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "workload generation seed")
 	out := fs.String("out", "", "append the result to this JSON series file (e.g. BENCH_joins.json)")
 	quiet := fs.Bool("quiet", false, "suppress setup progress")
 	fs.Parse(args)
 
-	cfg := bench.JoinConfig{FactRows: *rows, DimRows: *dim, Parallelism: *parallelism, Seed: *seed}
+	cfg := bench.JoinConfig{FactRows: *rows, DimRows: *dim, Seed: *seed}
 	if !*quiet {
 		cfg.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -188,7 +187,6 @@ func htapMain(args []string) {
 	addr := fs.String("addr", "", "base URL of an external cods-serve endpoint (implies -transport http)")
 	retain := fs.Int("retain", 8, "cods.Config.RetainVersions for the in-process DB")
 	autocompact := fs.Int("autocompact", 4096, "cods.Config.AutoCompactPending for the in-process DB")
-	parallelism := fs.Int("parallelism", 0, "cods.Config.Parallelism (0 = GOMAXPROCS)")
 	out := fs.String("out", "", "append the result to this JSON series file (e.g. BENCH_htap.json)")
 	seed := fs.Int64("seed", 1, "seed for data, key choice and mix selection")
 	quiet := fs.Bool("quiet", false, "suppress setup progress")
@@ -216,7 +214,6 @@ func htapMain(args []string) {
 		Addr:         *addr,
 		Retain:       *retain,
 		AutoCompact:  *autocompact,
-		Parallelism:  *parallelism,
 	}
 	if *addr != "" {
 		cfg.Transport = bench.TransportHTTP

@@ -59,9 +59,6 @@ type VersionPrunedError = core.VersionPrunedError
 
 // Config parameterizes a DB.
 type Config struct {
-	// Parallelism bounds the worker pool for per-value bitmap work; 0
-	// means GOMAXPROCS.
-	Parallelism int
 	// ValidateFD makes DECOMPOSE TABLE verify losslessness before
 	// evolving data, at the cost of one input scan.
 	ValidateFD bool
@@ -86,12 +83,6 @@ type Config struct {
 	// calls. Readers are never blocked — compaction changes the physical
 	// representation, not the contents. 0 disables auto-compaction.
 	AutoCompactPending int
-	// SegmentMergeRatio tunes the tiered merge policy over table row
-	// segments: after a flush, a tail run of segments is folded together
-	// whenever a segment is at most ratio× the rows behind it, keeping
-	// per-table segment counts logarithmic. 0 means the default ratio
-	// (2); negative disables merging.
-	SegmentMergeRatio int
 }
 
 // DB is a CODS database: a catalog of bitmap-indexed column-store tables
@@ -115,7 +106,6 @@ type Config struct {
 type DB struct {
 	mu     sync.Mutex // cods:writerlock serializes catalog changes and the WAL; reads never take it
 	engine *core.Engine
-	cfg    Config
 	// dir and wal are set by OpenDurable: every committed catalog change
 	// is made durable before the call returns, either by appending the
 	// statement to the write-ahead log or (for changes that cannot be
@@ -133,13 +123,11 @@ type DB struct {
 // Open creates an empty in-memory database.
 func Open(cfg Config) *DB {
 	return &DB{engine: core.New(core.Config{
-		Parallelism:        cfg.Parallelism,
 		ValidateFD:         cfg.ValidateFD,
 		Status:             cfg.Status,
 		RetainVersions:     cfg.RetainVersions,
 		AutoCompactPending: cfg.AutoCompactPending,
-		SegmentMergeRatio:  cfg.SegmentMergeRatio,
-	}), cfg: cfg}
+	})}
 }
 
 // OpenDir opens a database previously persisted with Save. The result is
@@ -392,7 +380,6 @@ func (db *DB) WaitBackgroundMerges() {}
 // changes made after it was taken.
 type Snapshot struct {
 	cat *core.Catalog
-	cfg Config
 }
 
 // Snapshot returns the current published catalog version. It never
@@ -400,7 +387,7 @@ type Snapshot struct {
 // committed version.
 // cods:lockfree
 func (db *DB) Snapshot() *Snapshot {
-	return &Snapshot{cat: db.engine.Catalog(), cfg: db.cfg}
+	return &Snapshot{cat: db.engine.Catalog()}
 }
 
 // Version returns the snapshot's schema version.
@@ -528,14 +515,13 @@ func (s *Snapshot) requireCondition(table, condition string) error {
 // without decoding a row.
 func (s *Snapshot) RunQuery(table string, q TableQuery) (*ResultSet, error) {
 	pq := plan.Query{
-		Select:      q.Select,
-		From:        table,
-		Where:       q.Where,
-		GroupBy:     q.GroupBy,
-		OrderBy:     q.OrderBy,
-		Desc:        q.Desc,
-		Limit:       q.Limit,
-		Parallelism: s.cfg.Parallelism,
+		Select:  q.Select,
+		From:    table,
+		Where:   q.Where,
+		GroupBy: q.GroupBy,
+		OrderBy: q.OrderBy,
+		Desc:    q.Desc,
+		Limit:   q.Limit,
 	}
 	for _, j := range q.Joins {
 		pq.Joins = append(pq.Joins, plan.Join{Table: j.Table, On: j.On})
@@ -862,7 +848,6 @@ func (db *DB) CreateTableFromRows(name string, columns []string, key []string, r
 	if err != nil {
 		return err
 	}
-	tb.Parallelism = db.cfg.Parallelism
 	for _, r := range rows {
 		if err := tb.AppendRow(r); err != nil {
 			return err
@@ -895,7 +880,7 @@ func (db *DB) LoadCSV(path, table string, key ...string) error {
 	if err := db.failIfClosedLocked(); err != nil {
 		return err
 	}
-	t, err := csvio.LoadP(path, table, key, db.cfg.Parallelism)
+	t, err := csvio.Load(path, table, key)
 	if err != nil {
 		return err
 	}
@@ -985,7 +970,7 @@ func (db *DB) Rows(table string, offset, limit uint64) ([][]string, error) {
 // Query returns the rows of a table satisfying a condition (same syntax
 // as PARTITION TABLE's WHERE) through the planner, like RunQuery. The
 // condition is evaluated on the bitmap index — once per distinct value,
-// not once per row, fanned out over the configured Parallelism.
+// not once per row, fanned out over a GOMAXPROCS-sized worker pool.
 // cods:lockfree
 func (db *DB) Query(table, condition string) ([][]string, error) {
 	return db.Snapshot().Query(table, condition)

@@ -16,7 +16,7 @@ import (
 // whole schema version — one of the known catalog states an SMO sequence
 // can leave behind, never a half-applied one.
 func TestConcurrentQueryDuringEvolve(t *testing.T) {
-	db := cods.Open(cods.Config{Parallelism: 4})
+	db := cods.Open(cods.Config{})
 	var rows [][]string
 	for i := 0; i < 4000; i++ {
 		rows = append(rows, []string{
@@ -123,7 +123,7 @@ func TestConcurrentQueryDuringEvolve(t *testing.T) {
 // TestConcurrentRunQueryAndRollback races aggregate queries with rollbacks,
 // the other write path.
 func TestConcurrentRunQueryAndRollback(t *testing.T) {
-	db := cods.Open(cods.Config{Parallelism: 2})
+	db := cods.Open(cods.Config{})
 	var rows [][]string
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, []string{fmt.Sprintf("g%d", i%7), fmt.Sprintf("%d", i)})

@@ -23,7 +23,7 @@ func sortedRows(rows [][]string) []string {
 
 func employeeDB(t *testing.T) *cods.DB {
 	t.Helper()
-	db := cods.Open(cods.Config{Parallelism: 2})
+	db := cods.Open(cods.Config{})
 	rows := [][]string{
 		{"jones", "typing", "sf"},
 		{"ellis", "alchemy", "la"},
@@ -226,7 +226,7 @@ func TestReadsDuringParkedEvolutionSeeDelta(t *testing.T) {
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	db := cods.Open(cods.Config{Parallelism: 2, Status: func(step string) {
+	db := cods.Open(cods.Config{Status: func(step string) {
 		// Park only once the evolution proper starts, not on the delta
 		// flush event that precedes it.
 		if strings.HasPrefix(step, "distinction") {
@@ -329,7 +329,7 @@ func TestReadsDuringParkedEvolutionSeeDelta(t *testing.T) {
 // readers and an evolution loop on the same DB; run under -race it
 // checks the copy-on-write overlay publication.
 func TestConcurrentDMLQueriesAndEvolution(t *testing.T) {
-	db := cods.Open(cods.Config{Parallelism: 2})
+	db := cods.Open(cods.Config{})
 	var rows [][]string
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, []string{

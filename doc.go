@@ -95,9 +95,9 @@
 // one new small segment and rewrites only the segments deletions touch —
 // O(tail) work however large the table is, where the old monolithic
 // rebuild was O(table). A tiered merge policy folds small tail segments
-// together to keep the segment count logarithmic: Config.SegmentMergeRatio
-// tunes it (0 means the default ratio 2, negative disables merging); the
-// fold runs inline on the write path, before the change is published.
+// together to keep the segment count logarithmic: a segment at most twice
+// the rows behind it is merged with them. The fold runs inline on the
+// write path, before the change is published.
 // A flush keeps surviving base rows in base order, then appended rows in
 // insertion order; the root property test checks that, statement by
 // statement, against an independent row model. Durable catalogs persist
@@ -139,12 +139,13 @@
 //
 // # Parallelism
 //
-// Config.Parallelism bounds the worker pool used for per-distinct-value
-// bitmap work — the dominant cost of every evolution operator and of
-// bitmap-index query evaluation. Zero means GOMAXPROCS; one forces serial
-// execution. The setting changes only wall-clock time: evolution outputs,
-// query results and aggregate values are bit-identical at any parallelism
-// (fan-in is index-ordered throughout; see internal/par).
+// Per-distinct-value bitmap work — the dominant cost of every evolution
+// operator and of bitmap-index query evaluation — fans out over a worker
+// pool of GOMAXPROCS goroutines, which the Go runtime's GOMAXPROCS
+// environment variable bounds. The pool size changes only wall-clock
+// time: evolution outputs, query results and aggregate values are
+// bit-identical at any size (fan-in is index-ordered throughout; see
+// internal/par).
 //
 // # Concurrency
 //

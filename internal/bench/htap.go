@@ -78,12 +78,11 @@ type HTAPConfig struct {
 	// /exec, so keep Rows modest.
 	Transport string
 	Addr      string
-	// Retain/AutoCompact/Parallelism configure the in-process (or
-	// self-hosted) DB: cods.Config.RetainVersions, AutoCompactPending,
-	// Parallelism. Ignored with an external Addr.
+	// Retain/AutoCompact configure the in-process (or self-hosted) DB:
+	// cods.Config.RetainVersions and AutoCompactPending. Ignored with an
+	// external Addr.
 	Retain      int
 	AutoCompact int
-	Parallelism int
 	// Progress, when non-nil, receives setup/run progress lines.
 	Progress func(format string, args ...any)
 }
@@ -372,7 +371,6 @@ func connect(cfg HTAPConfig, spec workload.Spec) (htapConn, func(), error) {
 
 	// In-process DB, shared by both remaining transports.
 	db := cods.Open(cods.Config{
-		Parallelism:        cfg.Parallelism,
 		RetainVersions:     cfg.Retain,
 		AutoCompactPending: cfg.AutoCompact,
 	})

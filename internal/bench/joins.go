@@ -27,8 +27,6 @@ type JoinConfig struct {
 	FactRows int
 	// DimRows is the dimension size — the distinct key count (10k).
 	DimRows int
-	// Parallelism bounds per-distinct-value fan-out (0 = GOMAXPROCS).
-	Parallelism int
 	// Seed makes the generated data reproducible.
 	Seed int64
 	// Progress, when non-nil, receives setup/run notes.
@@ -49,12 +47,11 @@ type JoinModeRun struct {
 
 // JoinResult is one benchmark run, appended to BENCH_joins.json.
 type JoinResult struct {
-	Bench       string  `json:"bench"` // always "join-decomposed-vs-scan"
-	FactRows    int     `json:"fact_rows"`
-	DimRows     int     `json:"dim_rows"`
-	Parallelism int     `json:"parallelism"`
-	Seed        int64   `json:"seed"`
-	ZipfS       float64 `json:"zipf_s,omitempty"`
+	Bench    string  `json:"bench"` // always "join-decomposed-vs-scan"
+	FactRows int     `json:"fact_rows"`
+	DimRows  int     `json:"dim_rows"`
+	Seed     int64   `json:"seed"`
+	ZipfS    float64 `json:"zipf_s,omitempty"`
 	// SharedLineage records whether the decomposed key columns were
 	// recognized as drawing from one dictionary id space — the
 	// precondition for the id-only semi-join fast path.
@@ -92,13 +89,13 @@ func RunJoins(cfg JoinConfig) (*JoinResult, error) {
 	dec, err := evolve.Decompose(r, evolve.DecomposeSpec{
 		OutS: "S", SColumns: []string{"A", "B"},
 		OutT: "T", TColumns: []string{"A", "C"},
-	}, evolve.Options{Parallelism: cfg.Parallelism})
+	}, evolve.Options{})
 	if err != nil {
 		return nil, err
 	}
 	res := &JoinResult{
 		Bench: "join-decomposed-vs-scan", FactRows: cfg.FactRows, DimRows: cfg.DimRows,
-		Parallelism: cfg.Parallelism, Seed: cfg.Seed,
+		Seed:  cfg.Seed,
 		Modes: make(map[string]JoinModeRun),
 	}
 	sKey, err := dec.S.Column("A")
@@ -140,7 +137,6 @@ func RunJoins(cfg JoinConfig) (*JoinResult, error) {
 	}
 	var matched uint64
 	for i, e := range queries {
-		e.q.Parallelism = cfg.Parallelism
 		start := time.Now()
 		rs, err := plan.Run(resolve, e.q)
 		elapsed := time.Since(start)
@@ -168,8 +164,8 @@ func RunJoins(cfg JoinConfig) (*JoinResult, error) {
 
 // Format renders the run for a terminal.
 func (r *JoinResult) Format(w io.Writer) {
-	fmt.Fprintf(w, "# joins fact=%d dim=%d parallelism=%d shared-lineage=%v\n",
-		r.FactRows, r.DimRows, r.Parallelism, r.SharedLineage)
+	fmt.Fprintf(w, "# joins fact=%d dim=%d shared-lineage=%v\n",
+		r.FactRows, r.DimRows, r.SharedLineage)
 	fmt.Fprintf(w, "%-16s %12s %14s %12s\n", "mode", "elapsed-ms", "fact-rows/s", "matched")
 	for _, mode := range []string{JoinModeScan, JoinModeSemi} {
 		m, ok := r.Modes[mode]

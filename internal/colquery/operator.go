@@ -60,10 +60,9 @@ func Collect(op Operator) (*ResultSet, error) {
 // selected rows are skipped without any data operation, and only the
 // projected columns are bitmap-filtered and decoded.
 type TableScan struct {
-	t           *colstore.Table
-	cols        []string
-	mask        *wah.Bitmap
-	parallelism int
+	t    *colstore.Table
+	cols []string
+	mask *wah.Bitmap
 
 	segs    []*colstore.Segment
 	offsets []uint64
@@ -73,7 +72,7 @@ type TableScan struct {
 // NewTableScan returns a scan of t projecting cols (empty = all columns)
 // over the rows selected by mask (nil = all rows, otherwise mask must
 // have t's row count).
-func NewTableScan(t *colstore.Table, cols []string, mask *wah.Bitmap, parallelism int) (*TableScan, error) {
+func NewTableScan(t *colstore.Table, cols []string, mask *wah.Bitmap) (*TableScan, error) {
 	if len(cols) == 0 {
 		cols = t.ColumnNames()
 	}
@@ -85,7 +84,7 @@ func NewTableScan(t *colstore.Table, cols []string, mask *wah.Bitmap, parallelis
 	if mask != nil && mask.Len() != t.NumRows() {
 		return nil, fmt.Errorf("colquery: scan mask has %d bits, table %q has %d rows", mask.Len(), t.Name(), t.NumRows())
 	}
-	ts := &TableScan{t: t, cols: append([]string(nil), cols...), mask: mask, parallelism: parallelism}
+	ts := &TableScan{t: t, cols: append([]string(nil), cols...), mask: mask}
 	ts.segs = t.Segments()
 	ts.offsets = make([]uint64, len(ts.segs))
 	var off uint64
@@ -122,7 +121,7 @@ func (ts *TableScan) Next() ([][]string, error) {
 			if !sub.Any() {
 				continue
 			}
-			if proj, err = proj.Filter(sub, ts.parallelism); err != nil {
+			if proj, err = proj.Filter(sub); err != nil {
 				return nil, err
 			}
 		}
@@ -393,8 +392,8 @@ func sameDict(a, b *dict.Dict) bool {
 // ids, one dictionary probe per occupied value (skipped entirely when
 // the columns share dictionary lineage), and one compressed OR fan-in
 // over the matching fact bitmaps. No row is ever decoded.
-func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism int) *wah.Bitmap {
-	occupied := par.Map(dim.DistinctCount(), parallelism, func(id int) bool {
+func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap) *wah.Bitmap {
+	occupied := par.Map(dim.DistinctCount(), 0, func(id int) bool {
 		bm := dim.BitmapForID(uint32(id))
 		if dimMask != nil {
 			return wah.And(bm, dimMask).Any()
@@ -421,7 +420,7 @@ func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism i
 		out.Extend(fact.NumRows())
 		return out
 	}
-	out := wah.OrAllP(maps, parallelism)
+	out := wah.OrAllP(maps, 0)
 	out.Extend(fact.NumRows())
 	return out
 }
@@ -787,27 +786,26 @@ func (o *OrderLimit) Next() ([][]string, error) {
 // independent task masked by one AND, emitted in dictionary id order so
 // output does not depend on scheduling. The whole result is one batch.
 type BitmapAgg struct {
-	nrows       uint64
-	mask        *wah.Bitmap
-	group       *colstore.Column
-	aggs        []Agg
-	aggCols     []*colstore.Column
-	cols        []string
-	parallelism int
-	done        bool
+	nrows   uint64
+	mask    *wah.Bitmap
+	group   *colstore.Column
+	aggs    []Agg
+	aggCols []*colstore.Column
+	cols    []string
+	done    bool
 }
 
 // NewBitmapAgg aggregates the rows of t selected by mask (nil = all
 // rows, otherwise mask must have t's row count), grouped by groupBy when
 // non-empty.
-func NewBitmapAgg(t *colstore.Table, mask *wah.Bitmap, groupBy string, aggs []Agg, parallelism int) (*BitmapAgg, error) {
+func NewBitmapAgg(t *colstore.Table, mask *wah.Bitmap, groupBy string, aggs []Agg) (*BitmapAgg, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("colquery: GROUP BY requires aggregates")
 	}
 	if mask != nil && mask.Len() != t.NumRows() {
 		return nil, fmt.Errorf("colquery: aggregate mask has %d bits, table %q has %d rows", mask.Len(), t.Name(), t.NumRows())
 	}
-	b := &BitmapAgg{nrows: t.NumRows(), mask: mask, aggs: append([]Agg(nil), aggs...), parallelism: parallelism}
+	b := &BitmapAgg{nrows: t.NumRows(), mask: mask, aggs: append([]Agg(nil), aggs...)}
 	if groupBy != "" {
 		g, err := t.Column(groupBy)
 		if err != nil {
@@ -846,14 +844,14 @@ func (b *BitmapAgg) Next() ([][]string, error) {
 	}
 	b.done = true
 	if b.group == nil {
-		row, err := b.aggregate(b.mask, b.parallelism)
+		row, err := b.aggregate(b.mask, 0)
 		if err != nil {
 			return nil, err
 		}
 		return [][]string{row}, nil
 	}
 	rows := make([][]string, b.group.DistinctCount())
-	if err := par.ForEachErr(len(rows), b.parallelism, func(id int) error {
+	if err := par.ForEachErr(len(rows), 0, func(id int) error {
 		gm := b.group.BitmapForID(uint32(id))
 		if b.mask != nil {
 			gm = wah.And(gm, b.mask)
@@ -886,7 +884,9 @@ func (b *BitmapAgg) Next() ([][]string, error) {
 
 // aggregate evaluates every aggregate over the rows in mask (nil = all
 // rows). The per-value compressed ANDs, the dominant cost, fan out over
-// the worker pool; the fold into aggState stays serial in id order.
+// the worker pool (bounded by parallelism: 0 for the ungrouped aggregate,
+// 1 inside the group fan-out); the fold into aggState stays serial in id
+// order.
 // SUM/AVG need each value's hit count; the others only whether it has a
 // hit, which Any answers without counting.
 func (b *BitmapAgg) aggregate(mask *wah.Bitmap, parallelism int) ([]string, error) {

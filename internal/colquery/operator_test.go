@@ -44,10 +44,11 @@ func segTable(t *testing.T, name string, cols []string, segs ...[][]string) *col
 
 func mask(t *testing.T, n uint64, positions ...uint64) *wah.Bitmap {
 	t.Helper()
-	m, err := wah.FromPositions(positions, n)
-	if err != nil {
-		t.Fatal(err)
+	m := wah.New()
+	for _, p := range positions {
+		m.Add(p)
 	}
+	m.Extend(n)
 	return m
 }
 
@@ -85,7 +86,7 @@ func TestTableScanMultiSegment(t *testing.T) {
 		[][]string{{"d", "4"}, {"e", "5"}},
 		[][]string{{"f", "6"}},
 	)
-	scan, err := NewTableScan(tab, nil, nil, 0)
+	scan, err := NewTableScan(tab, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestTableScanMaskAcrossSegments(t *testing.T) {
 	)
 	// Rows 1 and 4 straddle a segment boundary; the middle of segment 2
 	// and all of segment 3 are masked out.
-	scan, err := NewTableScan(tab, []string{"V"}, mask(t, 6, 1, 4), 0)
+	scan, err := NewTableScan(tab, []string{"V"}, mask(t, 6, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestTableScanMaskAcrossSegments(t *testing.T) {
 	}
 
 	// A fully masked-out segment is skipped, not decoded into an empty batch.
-	scan, err = NewTableScan(tab, nil, mask(t, 6, 5), 0)
+	scan, err = NewTableScan(tab, nil, mask(t, 6, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestTableScanMaskAcrossSegments(t *testing.T) {
 
 func TestTableScanDuplicateColumn(t *testing.T) {
 	tab := segTable(t, "T", []string{"K", "V"}, [][]string{{"a", "1"}, {"b", "2"}})
-	scan, err := NewTableScan(tab, []string{"V", "V", "K"}, nil, 0)
+	scan, err := NewTableScan(tab, []string{"V", "V", "K"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +164,10 @@ func TestTableScanDuplicateColumn(t *testing.T) {
 
 func TestTableScanErrors(t *testing.T) {
 	tab := segTable(t, "T", []string{"K"}, [][]string{{"a"}})
-	if _, err := NewTableScan(tab, []string{"Nope"}, nil, 0); err == nil {
+	if _, err := NewTableScan(tab, []string{"Nope"}, nil); err == nil {
 		t.Fatal("unknown column accepted")
 	}
-	if _, err := NewTableScan(tab, nil, mask(t, 2), 0); err == nil {
+	if _, err := NewTableScan(tab, nil, mask(t, 2)); err == nil {
 		t.Fatal("wrong-length mask accepted")
 	}
 }
@@ -301,7 +302,7 @@ func TestGroupAggParityWithBitmapPath(t *testing.T) {
 	}
 	for _, mc := range masks {
 		for _, groupBy := range []string{"", "G"} {
-			b, err := NewBitmapAgg(tab, mc.m, groupBy, aggs, 0)
+			b, err := NewBitmapAgg(tab, mc.m, groupBy, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +310,7 @@ func TestGroupAggParityWithBitmapPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan, err := NewTableScan(tab, nil, mc.m, 0)
+			scan, err := NewTableScan(tab, nil, mc.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,17 +332,17 @@ func TestGroupAggParityWithBitmapPath(t *testing.T) {
 
 func TestBitmapAggErrors(t *testing.T) {
 	tab := segTable(t, "T", []string{"G", "V"}, [][]string{{"a", "1"}})
-	if _, err := NewBitmapAgg(tab, nil, "G", nil, 0); err == nil {
+	if _, err := NewBitmapAgg(tab, nil, "G", nil); err == nil {
 		t.Fatal("GROUP BY without aggregates accepted")
 	}
 	want := `colstore: table "T" has no column "Nope"`
-	if _, err := NewBitmapAgg(tab, nil, "Nope", []Agg{{Func: Count}}, 0); err == nil || err.Error() != want {
+	if _, err := NewBitmapAgg(tab, nil, "Nope", []Agg{{Func: Count}}); err == nil || err.Error() != want {
 		t.Fatalf("unknown group column: err = %v, want %s", err, want)
 	}
-	if _, err := NewBitmapAgg(tab, nil, "", []Agg{{Func: Sum, Column: "Nope"}}, 0); err == nil || err.Error() != want {
+	if _, err := NewBitmapAgg(tab, nil, "", []Agg{{Func: Sum, Column: "Nope"}}); err == nil || err.Error() != want {
 		t.Fatalf("unknown aggregate column: err = %v, want %s", err, want)
 	}
-	if _, err := NewBitmapAgg(tab, mask(t, 2), "", []Agg{{Func: Count}}, 0); err == nil {
+	if _, err := NewBitmapAgg(tab, mask(t, 2), "", []Agg{{Func: Count}}); err == nil {
 		t.Fatal("wrong-length mask accepted")
 	}
 }
@@ -496,7 +497,7 @@ func TestSemiJoinMask(t *testing.T) {
 
 	t.Run("shared lineage", func(t *testing.T) {
 		dim := colstore.NewColumnFromValues("K", []string{"a", "b"})
-		m := SemiJoinMask(fact, dim, nil, 0)
+		m := SemiJoinMask(fact, dim, nil)
 		if got, want := positions(m), []uint64{0, 1, 3, 5}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("positions = %v, want %v", got, want)
 		}
@@ -509,7 +510,7 @@ func TestSemiJoinMask(t *testing.T) {
 		// Dim dict has its own order and values missing from fact ("x"),
 		// forcing the per-value Lookup path.
 		dim := colstore.NewColumnFromValues("K", []string{"x", "d", "a"})
-		m := SemiJoinMask(fact, dim, nil, 0)
+		m := SemiJoinMask(fact, dim, nil)
 		if got, want := positions(m), []uint64{0, 3, 4}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("positions = %v, want %v", got, want)
 		}
@@ -517,7 +518,7 @@ func TestSemiJoinMask(t *testing.T) {
 
 	t.Run("dim mask", func(t *testing.T) {
 		dim := colstore.NewColumnFromValues("K", []string{"a", "b", "c"})
-		m := SemiJoinMask(fact, dim, mask(t, 3, 1), 0) // only "b" survives
+		m := SemiJoinMask(fact, dim, mask(t, 3, 1)) // only "b" survives
 		if got, want := positions(m), []uint64{1, 5}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("positions = %v, want %v", got, want)
 		}
@@ -525,7 +526,7 @@ func TestSemiJoinMask(t *testing.T) {
 
 	t.Run("no overlap", func(t *testing.T) {
 		dim := colstore.NewColumnFromValues("K", []string{"x", "y"})
-		m := SemiJoinMask(fact, dim, nil, 0)
+		m := SemiJoinMask(fact, dim, nil)
 		if m.Any() {
 			t.Fatalf("positions = %v, want none", positions(m))
 		}

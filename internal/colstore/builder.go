@@ -151,9 +151,6 @@ type TableBuilder struct {
 	key      []string
 	builders []*ColumnBuilder
 	nrows    uint64
-	// Parallelism bounds the worker pool Finish uses to seal columns
-	// concurrently; 0 means GOMAXPROCS, 1 forces serial finishing.
-	Parallelism int
 }
 
 // NewTableBuilder returns a builder for a table with the given column
@@ -201,10 +198,10 @@ func (tb *TableBuilder) NumRows() uint64 { return tb.nrows }
 
 // Finish seals the builder into a Table. Column sealing (dropping empty
 // values, padding bitmaps, rebuilding dictionaries) is independent per
-// column, so it fans out over a worker pool bounded by tb.Parallelism.
+// column, so it fans out over a worker pool.
 func (tb *TableBuilder) Finish() (*Table, error) {
 	cols := make([]*Column, len(tb.builders))
-	par.ForEachIndexed(len(tb.builders), tb.Parallelism, func(i int) {
+	par.ForEachIndexed(len(tb.builders), 0, func(i int) {
 		cols[i] = tb.builders[i].Finish()
 	})
 	return NewTable(tb.name, cols, tb.key)

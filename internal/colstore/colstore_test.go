@@ -329,8 +329,13 @@ func TestColumnBuilderWithDict(t *testing.T) {
 }
 
 func TestNewColumnFromBitmaps(t *testing.T) {
-	b1, _ := wah.FromPositions([]uint64{0, 2}, 4)
-	b2, _ := wah.FromPositions([]uint64{1, 3}, 4)
+	b1, b2 := wah.New(), wah.New()
+	b1.Add(0)
+	b1.Add(2)
+	b1.Extend(4)
+	b2.Add(1)
+	b2.Add(3)
+	b2.Extend(4)
 	col, err := NewColumnFromBitmaps("C", []string{"x", "y"}, []*wah.Bitmap{b1, b2}, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -176,18 +176,12 @@ func (c *Column) EqScan(value string) *wah.Bitmap {
 
 // ScanWhere returns the bitmap of rows whose value satisfies pred. The
 // predicate is evaluated once per distinct value, not per row — the
-// bitmap-index advantage.
+// bitmap-index advantage. The per-value predicate calls fan out over a
+// worker pool and the selected bitmaps are OR-accumulated with a parallel
+// tree merge, so pred must be safe for concurrent calls.
 func (c *Column) ScanWhere(pred func(value string) bool) *wah.Bitmap {
-	return c.ScanWhereP(pred, 1)
-}
-
-// ScanWhereP is ScanWhere with bounded parallelism across distinct values:
-// the per-value predicate calls fan out over a worker pool and the selected
-// bitmaps are OR-accumulated with a parallel tree merge. pred must be safe
-// for concurrent calls; parallelism <= 0 means GOMAXPROCS.
-func (c *Column) ScanWhereP(pred func(value string) bool, parallelism int) *wah.Bitmap {
 	match := make([]bool, len(c.bitmaps))
-	par.ForEachIndexed(len(c.bitmaps), parallelism, func(id int) {
+	par.ForEachIndexed(len(c.bitmaps), 0, func(id int) {
 		match[id] = pred(c.dict.Value(uint32(id)))
 	})
 	var selected []*wah.Bitmap
@@ -196,7 +190,7 @@ func (c *Column) ScanWhereP(pred func(value string) bool, parallelism int) *wah.
 			selected = append(selected, c.bitmaps[id])
 		}
 	}
-	out := wah.OrAllP(selected, parallelism)
+	out := wah.OrAllP(selected, 0)
 	out.Extend(c.nrows)
 	return out
 }

@@ -137,25 +137,19 @@ func (s *Segment) withoutColumn(idx int) (*Segment, error) {
 // which must be segment-local: its length may not exceed the segment's
 // row count (missing trailing bits read as zero). This is the primitive
 // an overlay flush uses to apply deletions to exactly the segments they
-// hit, leaving every other segment shared untouched.
-func (s *Segment) Filter(mask *wah.Bitmap, parallelism int) (*Segment, error) {
+// hit, leaving every other segment shared untouched. The
+// per-distinct-value bitmap filtering fans out over a worker pool.
+func (s *Segment) Filter(mask *wah.Bitmap) (*Segment, error) {
 	if mask.Len() > s.nrows {
 		return nil, fmt.Errorf("colstore: mask has %d bits, segment has %d rows", mask.Len(), s.nrows)
 	}
-	return s.filterP(mask, parallelism)
-}
-
-// filterP returns a segment containing only the rows selected by mask,
-// which must be segment-local (length <= s.nrows). The per-distinct-value
-// bitmap filtering fans out over a worker pool.
-func (s *Segment) filterP(mask *wah.Bitmap, parallelism int) (*Segment, error) {
 	positions := mask.AppendPositionsTo(make([]uint64, 0, mask.Count()))
 	nrows := uint64(len(positions))
 	cols := make([]*Column, len(s.cols))
 	for i, c := range s.cols {
 		values := make([]string, c.DistinctCount())
 		bitmaps := make([]*wah.Bitmap, c.DistinctCount())
-		par.ForEachIndexed(c.DistinctCount(), parallelism, func(id int) {
+		par.ForEachIndexed(c.DistinctCount(), 0, func(id int) {
 			values[id] = c.dict.Value(uint32(id))
 			bitmaps[id] = wah.FilterPositions(c.bitmaps[id], positions)
 		})
@@ -225,7 +219,9 @@ func mergeColumn(segs []*Segment, ci int, nrows uint64) *Column {
 // MergeSegments merges a run of schema-identical segments into one, the
 // column builds fanned out over a worker pool. Row order is preserved, so
 // replacing the run with the result leaves every whole-table observation
-// unchanged.
+// unchanged. parallelism <= 0 means GOMAXPROCS; the engine always passes
+// 0, and the bound stays for the benchmark's colstore.merge_segments_ms
+// rung.
 func MergeSegments(segs []*Segment, parallelism int) (*Segment, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("colstore: MergeSegments needs at least one segment")
@@ -262,6 +258,10 @@ func sameSchema(schema []string, s *Segment) error {
 	}
 	return nil
 }
+
+// mergeRatio is the size ratio of the engine's tiered merge policy (see
+// MergeTailPlan and Table.CompactSegments).
+const mergeRatio = 2
 
 // MergeTailPlan decides which tail run of segments a tiered merge should
 // fold together, given the per-segment row counts and the size ratio: it

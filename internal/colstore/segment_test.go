@@ -119,8 +119,8 @@ func TestSegmentedTableMatchesMonolithic(t *testing.T) {
 		}
 	}
 	pred := func(v string) bool { return v > "g3" }
-	mb, _ := mono.ScanWhereBitmap("grp", pred, 1)
-	sb, _ := segd.ScanWhereBitmap("grp", pred, 1)
+	mb, _ := mono.ScanWhereBitmap("grp", pred)
+	sb, _ := segd.ScanWhereBitmap("grp", pred)
 	if !wah.Equal(mb, sb) {
 		t.Fatal("ScanWhereBitmap differ")
 	}
@@ -242,7 +242,7 @@ func TestCompactSegmentsPreservesContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := randomRows(rng, 120)
 	mono, segd := buildPair(t, rows, []int{100, 110})
-	merged, err := segd.CompactSegments(2, 1)
+	merged, err := segd.CompactSegments()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestFlushSizedSegmentsStayLogarithmic(t *testing.T) {
 		if tbl, err = tbl.WithTailSegment(tail); err != nil {
 			t.Fatal(err)
 		}
-		if tbl, err = tbl.CompactSegments(2, 1); err != nil {
+		if tbl, err = tbl.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
 		if tbl.NumSegments() > maxSegs {

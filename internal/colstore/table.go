@@ -228,16 +228,16 @@ func (t *Table) WithTailSegment(seg *Segment) (*Table, error) {
 	return nt, nil
 }
 
-// CompactSegments applies the tiered merge policy (MergeTailPlan) once:
-// when the tail violates the size-ratio invariant it merges that run in
-// place and returns the new table, otherwise it returns the receiver
-// unchanged.
-func (t *Table) CompactSegments(ratio, parallelism int) (*Table, error) {
-	start := MergeTailPlan(t.SegmentRows(), ratio)
+// CompactSegments applies the tiered merge policy (MergeTailPlan at
+// ratio 2) once: when the tail violates the size-ratio invariant it
+// merges that run in place and returns the new table, otherwise it
+// returns the receiver unchanged.
+func (t *Table) CompactSegments() (*Table, error) {
+	start := MergeTailPlan(t.SegmentRows(), mergeRatio)
 	if start >= len(t.segs) {
 		return t, nil
 	}
-	merged, err := MergeSegments(t.segs[start:], parallelism)
+	merged, err := MergeSegments(t.segs[start:], 0)
 	if err != nil {
 		return nil, err
 	}
@@ -275,14 +275,14 @@ func (t *Table) EqBitmap(column, value string) (*wah.Bitmap, error) {
 // ScanWhereBitmap returns the bitmap of rows whose value satisfies pred,
 // evaluated once per distinct value per segment and concatenated. pred
 // must be pure and safe for concurrent calls.
-func (t *Table) ScanWhereBitmap(column string, pred func(value string) bool, parallelism int) (*wah.Bitmap, error) {
+func (t *Table) ScanWhereBitmap(column string, pred func(value string) bool) (*wah.Bitmap, error) {
 	i, ok := t.byName[column]
 	if !ok {
 		return nil, fmt.Errorf("colstore: table %q has no column %q", t.name, column)
 	}
 	out := wah.New()
 	for _, s := range t.segs {
-		out.Concat(s.cols[i].ScanWhereP(pred, parallelism))
+		out.Concat(s.cols[i].ScanWhere(pred))
 	}
 	out.Extend(t.nrows)
 	return out, nil
@@ -401,18 +401,12 @@ func (t *Table) Project(name string, columns []string, key []string) (*Table, er
 
 // FilterRows returns a new table containing only the rows selected by
 // mask, applying the paper's bitmap filtering to every column. mask must
-// have the table's row count.
+// have the table's row count. The per-distinct-value bitmap filtering —
+// the dominant cost — fans out over a worker pool, one task per value of
+// each column. The mask is sliced along segment boundaries and each
+// segment filtered independently; segments with no selected rows are
+// dropped without any data operation.
 func (t *Table) FilterRows(name string, mask *wah.Bitmap) (*Table, error) {
-	return t.FilterRowsP(name, mask, 1)
-}
-
-// FilterRowsP is FilterRows with bounded parallelism: the per-distinct-value
-// bitmap filtering — the dominant cost — fans out over a worker pool, one
-// task per value of each column. parallelism <= 0 means GOMAXPROCS. The
-// mask is sliced along segment boundaries and each segment filtered
-// independently; segments with no selected rows are dropped without any
-// data operation.
-func (t *Table) FilterRowsP(name string, mask *wah.Bitmap, parallelism int) (*Table, error) {
 	if mask.Len() != t.nrows {
 		return nil, fmt.Errorf("colstore: mask has %d bits, table %q has %d rows", mask.Len(), t.name, t.nrows)
 	}
@@ -422,7 +416,7 @@ func (t *Table) FilterRowsP(name string, mask *wah.Bitmap, parallelism int) (*Ta
 		if !sub.Any() {
 			continue
 		}
-		fs, err := s.filterP(sub, parallelism)
+		fs, err := s.Filter(sub)
 		if err != nil {
 			return nil, err
 		}

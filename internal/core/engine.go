@@ -29,16 +29,11 @@ var ErrNoTable = errors.New("no table")
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Parallelism bounds per-value bitmap work; 0 means GOMAXPROCS.
-	Parallelism int
 	// ValidateFD makes DECOMPOSE verify losslessness (Property 2) before
 	// evolving data.
 	ValidateFD bool
 	// Status, when non-nil, receives live evolution progress events.
 	Status func(step string)
-	// ValuesLoader resolves ADD COLUMN ... FROM 'file' into per-row
-	// values. The default reads the file as one value per line.
-	ValuesLoader func(path string) ([]string, error)
 	// RetainVersions bounds how many previous schema versions stay
 	// rollback-able: after every committed change the snapshot history is
 	// pruned to the current version plus its RetainVersions predecessors.
@@ -50,26 +45,6 @@ type Config struct {
 	// per-read merge cost on sustained write streams without an explicit
 	// Compact or Checkpoint. 0 disables auto-compaction.
 	AutoCompactPending int
-	// SegmentMergeRatio tunes the tiered merge policy run after each
-	// overlay flush: a tail run of segments is folded together whenever a
-	// segment is at most ratio× the rows behind it (see
-	// colstore.MergeTailPlan), keeping segment counts logarithmic and
-	// per-row rewrite work amortized O(log n). 0 means the default ratio
-	// (2); negative disables merging, letting flush-sealed tail segments
-	// accumulate.
-	SegmentMergeRatio int
-}
-
-// mergeRatio resolves the configured segment merge ratio; ok is false
-// when merging is disabled.
-func (c Config) mergeRatio() (ratio int, ok bool) {
-	switch {
-	case c.SegmentMergeRatio < 0:
-		return 0, false
-	case c.SegmentMergeRatio == 0:
-		return 2, true
-	}
-	return c.SegmentMergeRatio, true
 }
 
 // Engine is the CODS platform: it owns the table catalog and executes
@@ -213,9 +188,6 @@ type Result struct {
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	if cfg.ValuesLoader == nil {
-		cfg.ValuesLoader = loadValuesFile
-	}
 	e := &Engine{tables: make(map[string]*delta.Overlay), snapshots: make(map[int]map[string]*delta.Overlay), cfg: cfg}
 	e.snapshots[0] = map[string]*delta.Overlay{}
 	e.retained.Store(1)
@@ -315,7 +287,7 @@ func (e *Engine) Register(t *colstore.Table) error {
 	if _, exists := e.tables[t.Name()]; exists {
 		return fmt.Errorf("core: table %q already exists", t.Name())
 	}
-	e.tables[t.Name()] = delta.Wrap(t, e.cfg.Parallelism)
+	e.tables[t.Name()] = delta.Wrap(t)
 	e.snapshot()
 	return nil
 }
@@ -369,8 +341,7 @@ func (e *Engine) Apply(op smo.Op) (*Result, error) {
 
 	res := &Result{Op: op}
 	opts := evolve.Options{
-		Parallelism: e.cfg.Parallelism,
-		ValidateFD:  e.cfg.ValidateFD,
+		ValidateFD: e.cfg.ValidateFD,
 		Status: func(step string) {
 			res.Steps = append(res.Steps, step)
 			if e.cfg.Status != nil {
@@ -496,7 +467,7 @@ func (e *Engine) overlay(name string) (*delta.Overlay, error) {
 func (e *Engine) wrap(ts ...*colstore.Table) []*delta.Overlay {
 	out := make([]*delta.Overlay, len(ts))
 	for i, t := range ts {
-		out[i] = delta.Wrap(t, e.cfg.Parallelism)
+		out[i] = delta.Wrap(t)
 	}
 	return out
 }
@@ -513,19 +484,21 @@ func (e *Engine) wrapEvolved(ts ...*colstore.Table) ([]*delta.Overlay, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = delta.Wrap(mt, e.cfg.Parallelism)
+		out[i] = delta.Wrap(mt)
 	}
 	return out, nil
 }
 
-// mergeAfterFlush applies the tiered merge policy to a freshly flushed
-// table, running the merge inline and returning the merged table.
+// mergeAfterFlush applies the tiered merge policy (a tail run of segments
+// is folded together whenever a segment is at most twice the rows behind
+// it, see colstore.MergeTailPlan) to a freshly flushed table, running the
+// merge inline and returning the merged table. Segment counts stay
+// logarithmic and per-row rewrite work amortized O(log n).
 func (e *Engine) mergeAfterFlush(t *colstore.Table) (*colstore.Table, error) {
-	ratio, ok := e.cfg.mergeRatio()
-	if !ok || t.NumSegments() < 2 {
+	if t.NumSegments() < 2 {
 		return t, nil
 	}
-	nt, err := t.CompactSegments(ratio, e.cfg.Parallelism)
+	nt, err := t.CompactSegments()
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +546,7 @@ func (e *Engine) compactTableLocked(name string) error {
 	if t, err = e.mergeAfterFlush(t); err != nil {
 		return err
 	}
-	e.tables[name] = delta.Wrap(t, e.cfg.Parallelism)
+	e.tables[name] = delta.Wrap(t)
 	e.compactions.Add(1)
 	e.snapshot()
 	return nil
@@ -604,7 +577,7 @@ func (e *Engine) compactLocked() error {
 		if t, err = e.mergeAfterFlush(t); err != nil {
 			return err
 		}
-		compacted[name] = delta.Wrap(t, e.cfg.Parallelism)
+		compacted[name] = delta.Wrap(t)
 	}
 	e.tables = compacted
 	e.compactions.Add(1)
@@ -838,7 +811,7 @@ func (e *Engine) execute(op smo.Op, opts evolve.Options) (add []*delta.Overlay, 
 		}
 		var nt *colstore.Table
 		if o.ValuesFile != "" {
-			values, err := e.cfg.ValuesLoader(o.ValuesFile)
+			values, err := loadValuesFile(o.ValuesFile)
 			if err != nil {
 				return nil, nil, fmt.Errorf("loading column values: %w", err)
 			}

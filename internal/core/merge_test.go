@@ -48,22 +48,6 @@ func TestTieredMergeBoundsSegments(t *testing.T) {
 	assertRContent(t, e, 7+120)
 }
 
-func TestMergeDisabledAccumulatesSegments(t *testing.T) {
-	e := New(Config{SegmentMergeRatio: -1})
-	seedR(t, e)
-	for b := 0; b < 5; b++ {
-		insertBatch(t, e, b*10, 10)
-	}
-	base := baseR(t, e)
-	if n := base.NumSegments(); n != 6 {
-		t.Fatalf("segments=%d, want 6 (seed + one per flush)", n)
-	}
-	if e.SegmentMerges() != 0 {
-		t.Fatalf("merges=%d with merging disabled", e.SegmentMerges())
-	}
-	assertRContent(t, e, 7+50)
-}
-
 // seedR registers the 7-row employee table as R.
 func seedR(t *testing.T, e *Engine) {
 	t.Helper()

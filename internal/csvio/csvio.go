@@ -14,31 +14,18 @@ import (
 )
 
 // Load reads a CSV file with a header row into a new table. key names the
-// primary-key columns (may be nil). Equivalent to LoadP with parallelism 0
-// (GOMAXPROCS).
+// primary-key columns (may be nil).
 func Load(path, tableName string, key []string) (*colstore.Table, error) {
-	return LoadP(path, tableName, key, 0)
-}
-
-// LoadP is Load with an explicit bound on the worker pool used to seal the
-// table's columns; parallelism <= 0 means GOMAXPROCS, 1 forces serial.
-func LoadP(path, tableName string, key []string, parallelism int) (*colstore.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("csvio: %w", err)
 	}
 	defer f.Close()
-	return ReadP(f, tableName, key, parallelism)
+	return Read(f, tableName, key)
 }
 
-// Read parses CSV from r (header row first) into a new table. Equivalent to
-// ReadP with parallelism 0 (GOMAXPROCS).
+// Read parses CSV from r (header row first) into a new table.
 func Read(r io.Reader, tableName string, key []string) (*colstore.Table, error) {
-	return ReadP(r, tableName, key, 0)
-}
-
-// ReadP is Read with an explicit column-sealing parallelism bound.
-func ReadP(r io.Reader, tableName string, key []string, parallelism int) (*colstore.Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
@@ -49,7 +36,6 @@ func ReadP(r io.Reader, tableName string, key []string, parallelism int) (*colst
 	if err != nil {
 		return nil, err
 	}
-	tb.Parallelism = parallelism
 	for {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {

@@ -88,9 +88,6 @@ type Overlay struct {
 	// means none. Never mutated once set (bitmap algebra allocates).
 	deleted  *wah.Bitmap
 	nDeleted uint64
-	// parallelism bounds the worker pool for bitmap work (predicate
-	// evaluation, filtering, flush); 0 means GOMAXPROCS.
-	parallelism int
 
 	// flush cache: an overlay is immutable, so the merged table is
 	// computed at most once and shared by every reader of this version.
@@ -99,14 +96,13 @@ type Overlay struct {
 	flushErr  error
 }
 
-// Wrap returns a clean overlay over a base table. parallelism bounds
-// bitmap work for this overlay and its descendants (0 = GOMAXPROCS).
-func Wrap(base *colstore.Table, parallelism int) *Overlay {
+// Wrap returns a clean overlay over a base table.
+func Wrap(base *colstore.Table) *Overlay {
 	byName := make(map[string]int, base.NumColumns())
 	for i, c := range base.ColumnNames() {
 		byName[c] = i
 	}
-	return &Overlay{base: base, byName: byName, parallelism: parallelism}
+	return &Overlay{base: base, byName: byName}
 }
 
 // WithName returns an overlay over the same DML state with the base
@@ -119,7 +115,6 @@ func (o *Overlay) WithName(name string) *Overlay {
 		base: o.base.WithName(name), byName: o.byName,
 		added: o.added, ar: o.ar,
 		deleted: o.deleted, nDeleted: o.nDeleted,
-		parallelism: o.parallelism,
 	}
 }
 
@@ -157,7 +152,7 @@ func (o *Overlay) NumRows() uint64 {
 // claims second copies, exactly the branch semantics. The flush cache is
 // deliberately not carried over.
 func (o *Overlay) derive(deleted *wah.Bitmap) *Overlay {
-	n := &Overlay{base: o.base, byName: o.byName, added: o.added, ar: o.ar, deleted: deleted, parallelism: o.parallelism}
+	n := &Overlay{base: o.base, byName: o.byName, added: o.added, ar: o.ar, deleted: deleted}
 	if deleted != nil {
 		n.nDeleted = deleted.Count()
 	}
@@ -303,7 +298,7 @@ func (o *Overlay) Insert(row []string) (*Overlay, error) {
 		return nil, fmt.Errorf("delta: INSERT into %s violates key %v", o.Name(), o.base.Key())
 	}
 	row = append([]string(nil), row...)
-	n := &Overlay{base: o.base, byName: o.byName, deleted: o.deleted, nDeleted: o.nDeleted, parallelism: o.parallelism}
+	n := &Overlay{base: o.base, byName: o.byName, deleted: o.deleted, nDeleted: o.nDeleted}
 	if o.ar != nil {
 		o.ar.mu.Lock()
 		if o.ar.tip == len(o.added) && cap(o.added) > len(o.added) {
@@ -350,7 +345,7 @@ func (o *Overlay) liveBaseMatches(pred expr.Node) (*wah.Bitmap, error) {
 		mask.AppendRun(1, o.base.NumRows())
 	} else {
 		var err error
-		if mask, err = pred.EvalP(o.base, o.parallelism); err != nil {
+		if mask, err = pred.Eval(o.base); err != nil {
 			return nil, err
 		}
 	}
@@ -491,7 +486,7 @@ func (o *Overlay) Delete(condition string) (*Overlay, uint64, error) {
 			added = append(added, row)
 		}
 	}
-	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted, parallelism: o.parallelism}
+	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted}
 	n.ar = &arena{tip: len(added), keys: o.shiftedKeys(drop, addedHit)}
 	if deleted != nil {
 		n.nDeleted = deleted.Count()
@@ -543,7 +538,7 @@ func (o *Overlay) Update(column, value, condition string) (*Overlay, uint64, err
 	if hit.Any() {
 		// Materialize the matched base rows (bitmap filtering, the same
 		// primitive evolutions use), rewrite the column, re-append.
-		matched, err := o.base.FilterRowsP(o.Name(), hit, o.parallelism)
+		matched, err := o.base.FilterRows(o.Name(), hit)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -603,7 +598,7 @@ func (o *Overlay) Update(column, value, condition string) (*Overlay, uint64, err
 			}
 		}
 	}
-	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted, parallelism: o.parallelism}
+	n := &Overlay{base: o.base, byName: o.byName, added: added, deleted: deleted}
 	if deleted != nil {
 		n.nDeleted = deleted.Count()
 	}
@@ -669,7 +664,7 @@ func (o *Overlay) flush() (*colstore.Table, error) {
 				continue // every row deleted: drop the segment
 			} else if c > 0 {
 				keep := sub.Not()
-				fs, err := s.Filter(keep, o.parallelism)
+				fs, err := s.Filter(keep)
 				if err != nil {
 					return nil, err
 				}
@@ -684,7 +679,7 @@ func (o *Overlay) flush() (*colstore.Table, error) {
 	if len(o.added) > 0 {
 		names := o.base.ColumnNames()
 		cols := make([]*colstore.Column, len(names))
-		if err := par.ForEachErr(len(names), o.parallelism, func(ci int) error {
+		if err := par.ForEachErr(len(names), 0, func(ci int) error {
 			b := colstore.NewColumnBuilder(names[ci])
 			for _, row := range o.added {
 				b.Append(row[ci])

@@ -62,7 +62,7 @@ func rowsWhere(t *testing.T, o *Overlay, condition string) [][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := tab.FilterRowsP(tab.Name(), mask, 1)
+	hit, err := tab.FilterRows(tab.Name(), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func assertMerged(t *testing.T, o *Overlay, want [][]string) {
 }
 
 func TestInsertDeleteUpdateMerged(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	if o.Dirty() {
 		t.Fatal("clean overlay reports dirty")
 	}
@@ -175,7 +175,7 @@ func TestInsertDeleteUpdateMerged(t *testing.T) {
 // Copy-on-write: DML on a derived overlay must never change what an
 // earlier overlay (a published snapshot) observes.
 func TestOverlayCopyOnWrite(t *testing.T) {
-	o0 := Wrap(baseTable(t), 1)
+	o0 := Wrap(baseTable(t))
 	o1, err := o0.Insert([]string{"brown", "typing", "sf"})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestOverlayCopyOnWrite(t *testing.T) {
 // must not share appended slots: the arena lets only the tip extend the
 // backing array in place; the branch copies.
 func TestInsertBranchingLineages(t *testing.T) {
-	o0 := Wrap(baseTable(t), 1)
+	o0 := Wrap(baseTable(t))
 	parent, err := o0.Insert([]string{"p", "s", "c"})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestInsertBranchingLineages(t *testing.T) {
 // A long linear chain of inserts (the common DML shape) stays correct
 // while extending the shared backing array in place.
 func TestInsertLinearChain(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	var err error
 	for i := 0; i < 500; i++ {
 		if o, err = o.Insert([]string{fmt.Sprintf("n%03d", i), "s", "c"}); err != nil {
@@ -286,7 +286,7 @@ func TestInsertLinearChain(t *testing.T) {
 }
 
 func TestDeleteAllAndEmptyTable(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	o1, n, err := o.Delete("")
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestDeleteAllAndEmptyTable(t *testing.T) {
 }
 
 func TestInsertArityAndUnknownColumn(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	if _, err := o.Insert([]string{"too", "few"}); err == nil {
 		t.Fatal("short INSERT accepted")
 	}
@@ -319,7 +319,7 @@ func TestInsertArityAndUnknownColumn(t *testing.T) {
 // Flushing preserves dictionary sharing semantics: surviving base values
 // keep working, vanished values are dropped, new values appear.
 func TestFlushDictionaryHygiene(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	o1, n, err := o.Delete("Skill = 'alchemy'")
 	if err != nil || n != 1 {
 		t.Fatalf("Delete: n=%d err=%v", n, err)
@@ -359,7 +359,7 @@ func TestDMLEnforcesDeclaredKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Wrap(base, 1)
+	o := Wrap(base)
 
 	if _, err := o.Insert([]string{"a", "9"}); err == nil {
 		t.Fatal("duplicate-key INSERT accepted")
@@ -417,7 +417,7 @@ func TestDMLEnforcesDeclaredKey(t *testing.T) {
 // offset/limit: surviving base rows in base order, then the appended tail
 // in insertion order (an UPDATE re-appends the base rows it rewrites).
 func TestRowsPagingMatchesFlush(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	var err error
 	for i := 0; i < 7; i++ {
 		if o, err = o.Insert([]string{fmt.Sprintf("n%d", i), "s", "c"}); err != nil {
@@ -465,7 +465,7 @@ func TestRowsPagingMatchesFlush(t *testing.T) {
 
 // RENAME carries the overlay: same pending DML, new name, no flush.
 func TestWithNamePreservesDelta(t *testing.T) {
-	o := Wrap(baseTable(t), 1)
+	o := Wrap(baseTable(t))
 	o1, err := o.Insert([]string{"kim", "editing", "ny"})
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +524,7 @@ func keyedBase(t *testing.T) *colstore.Table {
 // conflict. This is the branch-after-rollback contract of the amortized
 // keyConflict.
 func TestKeyIndexBranchAfterRollback(t *testing.T) {
-	o := Wrap(keyedBase(t), 1)
+	o := Wrap(keyedBase(t))
 	v1, err := o.Insert([]string{"d", "4"})
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +569,7 @@ func TestKeyIndexBranchAfterRollback(t *testing.T) {
 // the next INSERT of the lineage extends the shared backing array in
 // place instead of copying the pending tail.
 func TestDeriveCarriesArena(t *testing.T) {
-	o := Wrap(keyedBase(t), 1)
+	o := Wrap(keyedBase(t))
 	var err error
 	for i := 0; i < 10; i++ {
 		if o, err = o.Insert([]string{fmt.Sprintf("n%02d", i), "v"}); err != nil {

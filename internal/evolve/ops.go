@@ -37,7 +37,7 @@ func Union(a, b *colstore.Table, outName string, opt Options) (*colstore.Table, 
 //
 // Partition is segment-wise by construction: predicate evaluation runs
 // against each segment's local dictionaries (Table.EqBitmap and
-// ScanWhereBitmap concatenate per-segment results) and FilterRowsP slices
+// ScanWhereBitmap concatenate per-segment results) and FilterRows slices
 // the mask along segment boundaries, emitting one output segment per
 // input segment that contributes rows.
 func Partition(t *colstore.Table, condition string, outYes, outNo string, opt Options) (yes, no *colstore.Table, err error) {
@@ -46,16 +46,16 @@ func Partition(t *colstore.Table, condition string, outYes, outNo string, opt Op
 		return nil, nil, err
 	}
 	opt.trace(fmt.Sprintf("partition: evaluating %s against %d segments' local dictionaries", pred, t.NumSegments()))
-	mask, err := pred.EvalP(t, opt.Parallelism)
+	mask, err := pred.Eval(t)
 	if err != nil {
 		return nil, nil, err
 	}
 	opt.trace(fmt.Sprintf("partition: filtering %d rows into %s, %d into %s segment-wise", mask.Count(), outYes, mask.Len()-mask.Count(), outNo))
-	yes, err = t.FilterRowsP(outYes, mask, opt.Parallelism)
+	yes, err = t.FilterRows(outYes, mask)
 	if err != nil {
 		return nil, nil, err
 	}
-	no, err = t.FilterRowsP(outNo, mask.Not(), opt.Parallelism)
+	no, err = t.FilterRows(outNo, mask.Not())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,8 +33,11 @@ type Options struct {
 	// "bitmap filtering", ...) as they happen — the demo UI's "Data
 	// Evolution Status" panel (paper §3).
 	Status func(step string)
-	// Parallelism bounds the worker pool used for per-value bitmap work.
-	// Zero means GOMAXPROCS.
+	// Parallelism bounds the worker pool the operators' per-value bitmap
+	// work runs on (Partition's predicate scan and filtering always use
+	// the full pool). Zero means GOMAXPROCS. The engine always leaves it
+	// zero; the bound stays for the benchmark's par.*_speedup rungs, which
+	// time Parallelism 1 against 0, and the serial-vs-parallel tests.
 	Parallelism int
 	// ValidateFD makes Decompose verify Property 2 (the functional
 	// dependency key → non-key in the input) and fail on violations

@@ -31,14 +31,10 @@ import (
 
 // Node is a parsed predicate.
 type Node interface {
-	// Eval returns the bitmap of rows satisfying the predicate. Equivalent
-	// to EvalP with parallelism 1.
+	// Eval returns the bitmap of rows satisfying the predicate.
+	// Comparison leaves fan their per-distinct-value predicate calls and
+	// OR accumulation out over a worker pool.
 	Eval(t *colstore.Table) (*wah.Bitmap, error)
-	// EvalP is Eval with bounded parallelism across each referenced
-	// column's distinct values (comparison leaves fan their per-value
-	// predicate calls and OR accumulation out over a worker pool).
-	// parallelism <= 0 means GOMAXPROCS.
-	EvalP(t *colstore.Table, parallelism int) (*wah.Bitmap, error)
 	// EvalRow evaluates the predicate against a single row presented as a
 	// column lookup (value, ok). It exists for data that has no bitmap
 	// index yet — the DML delta overlay's appended rows — and agrees
@@ -111,25 +107,20 @@ type Comparison struct {
 	Literal string
 }
 
-// Eval implements Node.
-func (c *Comparison) Eval(t *colstore.Table) (*wah.Bitmap, error) {
-	return c.EvalP(t, 1)
-}
-
-// EvalP implements Node. Evaluation is segment-native: per-distinct-value
+// Eval implements Node. Evaluation is segment-native: per-distinct-value
 // predicate scans run segment by segment so a point predicate on a huge
 // segmented table never stitches a whole-table column. Equality against a
 // non-integer literal short-circuits to a dictionary probe per segment;
 // integer literals cannot (numeric equality admits distinct spellings,
 // '07' = '7', which a dictionary lookup would miss — the same exclusion
 // delta applies to exact-match key probes).
-func (c *Comparison) EvalP(t *colstore.Table, parallelism int) (*wah.Bitmap, error) {
+func (c *Comparison) Eval(t *colstore.Table) (*wah.Bitmap, error) {
 	if c.Op == OpEq {
 		if _, err := strconv.ParseInt(c.Literal, 10, 64); err != nil {
 			return t.EqBitmap(c.Column, c.Literal)
 		}
 	}
-	return t.ScanWhereBitmap(c.Column, func(v string) bool { return c.Op.Compare(v, c.Literal) }, parallelism)
+	return t.ScanWhereBitmap(c.Column, func(v string) bool { return c.Op.Compare(v, c.Literal) })
 }
 
 // EvalRow implements Node.
@@ -154,20 +145,15 @@ type Logical struct {
 	L, R  Node
 }
 
-// Eval implements Node.
+// Eval implements Node. The subtrees evaluate one after the other: each
+// leaf fans out over its own distinct values, which is where the
+// per-value work lives.
 func (l *Logical) Eval(t *colstore.Table) (*wah.Bitmap, error) {
-	return l.EvalP(t, 1)
-}
-
-// EvalP implements Node. The worker-pool budget is shared down both
-// subtrees rather than multiplied: each leaf fans out over its own distinct
-// values, which is where the per-value work lives.
-func (l *Logical) EvalP(t *colstore.Table, parallelism int) (*wah.Bitmap, error) {
-	lb, err := l.L.EvalP(t, parallelism)
+	lb, err := l.L.Eval(t)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := l.R.EvalP(t, parallelism)
+	rb, err := l.R.Eval(t)
 	if err != nil {
 		return nil, err
 	}
@@ -212,12 +198,7 @@ type Not struct{ X Node }
 
 // Eval implements Node.
 func (n *Not) Eval(t *colstore.Table) (*wah.Bitmap, error) {
-	return n.EvalP(t, 1)
-}
-
-// EvalP implements Node.
-func (n *Not) EvalP(t *colstore.Table, parallelism int) (*wah.Bitmap, error) {
-	b, err := n.X.EvalP(t, parallelism)
+	b, err := n.X.Eval(t)
 	if err != nil {
 		return nil, err
 	}

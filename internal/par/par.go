@@ -115,39 +115,3 @@ func Map[T any](n, parallelism int, fn func(i int) T) []T {
 	ForEachIndexed(n, parallelism, func(i int) { out[i] = fn(i) })
 	return out
 }
-
-// MapReduce maps [0, n) and folds the results with reduce. Each worker folds
-// a contiguous chunk of indexes left to right and the chunk partials are
-// combined in chunk order, so the overall fold is the in-order sequence
-// re-associated: reduce must be associative, but need not be commutative,
-// for the result to be deterministic and equal to the serial fold. n == 0
-// returns the zero T.
-func MapReduce[T any](n, parallelism int, fn func(i int) T, reduce func(a, b T) T) T {
-	var zero T
-	if n == 0 {
-		return zero
-	}
-	workers := min(Workers(parallelism), n)
-	if workers <= 1 {
-		acc := fn(0)
-		for i := 1; i < n; i++ {
-			acc = reduce(acc, fn(i))
-		}
-		return acc
-	}
-	partials := make([]T, workers)
-	ForEachIndexed(workers, workers, func(w int) {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		acc := fn(lo)
-		for i := lo + 1; i < hi; i++ {
-			acc = reduce(acc, fn(i))
-		}
-		partials[w] = acc
-	})
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		acc = reduce(acc, p)
-	}
-	return acc
-}

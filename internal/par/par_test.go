@@ -115,24 +115,6 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-// TestMapReduceMatchesSerialFold uses a non-commutative (but associative)
-// reduction — string concatenation — to verify the ordered fan-in claim.
-func TestMapReduceMatchesSerialFold(t *testing.T) {
-	concat := func(a, b string) string { return a + b }
-	elem := func(i int) string { return fmt.Sprintf("<%d>", i) }
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		want := ""
-		for i := 0; i < n; i++ {
-			want += elem(i)
-		}
-		for _, parallelism := range []int{0, 1, 3, 16} {
-			if got := MapReduce(n, parallelism, elem, concat); got != want {
-				t.Fatalf("n=%d parallelism=%d: got %q, want %q", n, parallelism, got, want)
-			}
-		}
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Fatal("positive parallelism must be respected")

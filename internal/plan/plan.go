@@ -58,8 +58,6 @@ type Query struct {
 	// Limit caps the number of output rows; 0 means no limit, and a
 	// negative value is an error.
 	Limit int
-	// Parallelism bounds per-distinct-value fan-out; 0 means GOMAXPROCS.
-	Parallelism int
 }
 
 // Resolver maps a table name to its immutable snapshot. Errors pass
@@ -240,7 +238,7 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 		if node == nil {
 			continue
 		}
-		m, err := node.EvalP(t, q.Parallelism)
+		m, err := node.Eval(t)
 		if err != nil {
 			return nil, err
 		}
@@ -252,9 +250,9 @@ func assemble(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 	case len(q.Joins) > 0:
 		root, err = joinTree(q, tables, conjuncts, sp, masks)
 	case len(q.Aggregates) > 0:
-		root, err = colquery.NewBitmapAgg(tables[0], masks[0], q.GroupBy, q.Aggregates, q.Parallelism)
+		root, err = colquery.NewBitmapAgg(tables[0], masks[0], q.GroupBy, q.Aggregates)
 	default:
-		root, err = colquery.NewTableScan(tables[0], q.Select, masks[0], q.Parallelism)
+		root, err = colquery.NewTableScan(tables[0], q.Select, masks[0])
 	}
 	if err != nil {
 		return nil, err
@@ -290,7 +288,7 @@ func joinTree(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 			if err != nil {
 				return nil, err
 			}
-			sj := colquery.SemiJoinMask(factCol, dimCol, masks[ji+1], q.Parallelism)
+			sj := colquery.SemiJoinMask(factCol, dimCol, masks[ji+1])
 			if masks[0] == nil {
 				masks[0] = sj
 			} else {
@@ -319,11 +317,11 @@ func joinTree(q Query, tables []*colstore.Table, conjuncts []expr.Node, sp *spec
 	}
 	var root colquery.Operator
 	var err error
-	if root, err = colquery.NewTableScan(tables[0], scanCols(tables[0], nil), masks[0], q.Parallelism); err != nil {
+	if root, err = colquery.NewTableScan(tables[0], scanCols(tables[0], nil), masks[0]); err != nil {
 		return nil, err
 	}
 	for _, j := range sp.order {
-		build, err := colquery.NewTableScan(tables[j+1], scanCols(tables[j+1], q.Joins[j].On), masks[j+1], q.Parallelism)
+		build, err := colquery.NewTableScan(tables[j+1], scanCols(tables[j+1], q.Joins[j].On), masks[j+1])
 		if err != nil {
 			return nil, err
 		}

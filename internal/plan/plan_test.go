@@ -97,7 +97,7 @@ func TestSingleTableAggregatesMatchRowwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := colquery.NewTableScan(tab, nil, nil, 0)
+		scan, err := colquery.NewTableScan(tab, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -232,7 +232,9 @@ func OrAll(ms []*Bitmap) *Bitmap {
 // into contiguous chunks, each chunk is OR-combined by one worker with
 // balanced pairwise merging, and the at-most-`parallelism` chunk partials are
 // merged in chunk order. OR is associative, so the result is bit-identical to
-// OrAll at any parallelism. parallelism <= 0 means GOMAXPROCS.
+// OrAll at any parallelism. parallelism <= 0 means GOMAXPROCS. The engine
+// always passes 0; the bound stays for the benchmark's wah.or_all_ms rung
+// and the serial-vs-parallel reference tests.
 func OrAllP(ms []*Bitmap, parallelism int) *Bitmap {
 	// Below two vectors per worker the spawn overhead cannot pay off.
 	workers := min(par.Workers(parallelism), len(ms)/2)

@@ -71,23 +71,6 @@ func FromBools(bs []bool) *Bitmap {
 	return b
 }
 
-// FromPositions builds a bitmap of length n with ones at the given
-// positions. Positions must be strictly increasing and < n.
-func FromPositions(positions []uint64, n uint64) (*Bitmap, error) {
-	b := New()
-	for _, p := range positions {
-		if p < b.nbits {
-			return nil, fmt.Errorf("wah: position %d out of order (already at %d bits)", p, b.nbits)
-		}
-		if p >= n {
-			return nil, fmt.Errorf("wah: position %d beyond bitmap length %d", p, n)
-		}
-		b.Add(p)
-	}
-	b.Extend(n)
-	return b, nil
-}
-
 // Len returns the number of bits in the bitmap.
 func (b *Bitmap) Len() uint64 { return b.nbits }
 

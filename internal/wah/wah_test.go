@@ -164,22 +164,6 @@ func TestAddOutOfOrderPanics(t *testing.T) {
 	b.Add(5)
 }
 
-func TestFromPositions(t *testing.T) {
-	b, err := FromPositions([]uint64{3, 7, 100}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 200 || b.Count() != 3 {
-		t.Fatalf("bad bitmap %v", b)
-	}
-	if _, err := FromPositions([]uint64{7, 3}, 200); err == nil {
-		t.Fatal("expected out-of-order error")
-	}
-	if _, err := FromPositions([]uint64{300}, 200); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-}
-
 func naiveOp(x, y refBits, f func(a, b bool) bool) refBits {
 	n := max(len(x), len(y))
 	out := make(refBits, n)
@@ -374,10 +358,11 @@ func TestFilterSparseMaskIsCompressed(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		positions = append(positions, i*100_000)
 	}
-	mask, err := FromPositions(positions, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
+	mask := New()
+	for _, p := range positions {
+		mask.Add(p)
 	}
+	mask.Extend(10_000_000)
 	got := Filter(b, mask)
 	if got.Len() != 100 {
 		t.Fatalf("filtered length=%d", got.Len())

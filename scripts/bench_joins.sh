@@ -12,13 +12,12 @@
 # diverge.
 #
 # Knobs: BENCH_JOINS_ROWS (default 1000000 — the issue's scenario),
-# BENCH_JOINS_DIM (10000), BENCH_JOINS_PARALLELISM (0 = GOMAXPROCS).
+# BENCH_JOINS_DIM (10000).
 set -e
 rows=${BENCH_JOINS_ROWS:-1000000}
 dim=${BENCH_JOINS_DIM:-10000}
-par=${BENCH_JOINS_PARALLELISM:-0}
 
 go run ./cmd/codsbench joins \
-    -rows "$rows" -dim "$dim" -parallelism "$par" \
+    -rows "$rows" -dim "$dim" \
     -out BENCH_joins.json -seed 1 -quiet
 echo "appended 1 run to BENCH_joins.json"

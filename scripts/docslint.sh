@@ -27,6 +27,10 @@
 #    Count or Rows method on delta.Overlay fails the check, since every
 #    data read goes through the planner (plan.Run) over the flushed
 #    table (Overlay.Table).
+# 8. The engine sizes its own worker pool and merge ratio: cods.Config
+#    and core.Config may not declare Parallelism or SegmentMergeRatio,
+#    and the serial/bounded twins (expr EvalP, colstore FilterRowsP and
+#    ScanWhereP, csvio LoadP and ReadP) may not come back.
 #
 # Run from the repository root (CI's docs-lint step, `make docs-lint`).
 set -u
@@ -176,5 +180,28 @@ if [ -n "$viol" ]; then
     fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "docslint: all packages documented, benchmark, flag, grammar, and codslint docs consistent, one read path"
+# No pool-size or merge-ratio knob: the pool is GOMAXPROCS, the ratio 2.
+why="the engine sizes its pool from GOMAXPROCS and merges at ratio 2"
+viol=$(
+    for f in cods.go internal/core/*.go; do
+        case "$f" in *_test.go) continue ;; esac
+        awk -v f="$f" -v why="$why" '
+            /^type Config struct/ { in_cfg = 1; next }
+            in_cfg && /^}/ { in_cfg = 0 }
+            in_cfg && $1 ~ /^(Parallelism|SegmentMergeRatio)$/ {
+                print "docslint: " f ":" NR ": Config declares " $1 "; " why
+            }' "$f"
+    done
+    grep -nE '^(func (\([^)]*\) )?|[[:space:]]+)(EvalP|FilterRowsP|ScanWhereP|LoadP|ReadP)\(' \
+        internal/expr/*.go internal/colstore/*.go internal/csvio/*.go |
+    while IFS=: read -r file line _; do
+        echo "docslint: $file:$line: declares a bounded-parallelism twin; $why"
+    done
+)
+if [ -n "$viol" ]; then
+    echo "$viol"
+    fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "docslint: all packages documented, benchmark, flag, grammar, and codslint docs consistent, one read path, no pool-size knob"
 exit $fail

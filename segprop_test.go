@@ -77,7 +77,7 @@ func updateStmt(table, col, val string, c cond) segStmt {
 
 func runSegProp(t *testing.T, seed int64, nops int) {
 	const autoCompact = 16
-	db := cods.Open(cods.Config{Parallelism: 2, AutoCompactPending: autoCompact, RetainVersions: 8})
+	db := cods.Open(cods.Config{AutoCompactPending: autoCompact, RetainVersions: 8})
 	m := &rowModel{tables: make(map[string]*modelTable), autoCompact: autoCompact}
 
 	seedRows := make([][]string, 20)

@@ -20,7 +20,7 @@ import (
 // multiple storage segments (bulk load + inserts + compaction), so the
 // segment-aware scan under the join is exercised across boundaries.
 func TestSelectJoinOracleAfterDecompose(t *testing.T) {
-	db := cods.Open(cods.Config{Parallelism: 2})
+	db := cods.Open(cods.Config{})
 	var rows [][]string
 	for i := 0; i < 300; i++ {
 		rows = append(rows, []string{
@@ -118,7 +118,7 @@ func TestSelectJoinParityRandomized(t *testing.T) {
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	db := cods.Open(cods.Config{Parallelism: 2, Status: func(step string) {
+	db := cods.Open(cods.Config{Status: func(step string) {
 		// Park the evolution proper, not the DML/compaction events that
 		// precede it.
 		if strings.HasPrefix(step, "distinction") {

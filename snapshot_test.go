@@ -19,7 +19,7 @@ func parkedDB(t *testing.T) (db *cods.DB, parked chan struct{}, release chan str
 	parked = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
-	db = cods.Open(cods.Config{Parallelism: 2, Status: func(string) {
+	db = cods.Open(cods.Config{Status: func(string) {
 		once.Do(func() {
 			close(parked)
 			<-release
