@@ -132,6 +132,26 @@ func (r *Result) Format(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// checkOutputs returns an error when two systems report different output
+// row counts at the same x-point. Every system runs the same evolution on
+// the same input, so a disagreement means one of them computed something
+// else and its time is not comparable.
+func (r *Result) checkOutputs() error {
+	first := make(map[int]Point)
+	for _, p := range r.Points {
+		f, ok := first[p.Distinct]
+		if !ok {
+			first[p.Distinct] = p
+			continue
+		}
+		if p.OutputRows != f.OutputRows {
+			return fmt.Errorf("bench: %s x=%d: %s wrote %d rows, %s wrote %d",
+				r.Experiment, p.Distinct, p.System, p.OutputRows, f.System, f.OutputRows)
+		}
+	}
+	return nil
+}
+
 // Speedups returns, per distinct count, the ratio of the slowest non-CODS
 // system to CODS — the paper's "orders of magnitude" claim quantified.
 func (r *Result) Speedups() map[int]float64 {
@@ -180,6 +200,9 @@ func RunDecompose(cfg Config) (*Result, error) {
 			}
 			res.Points = append(res.Points, p)
 			cfg.progress("decompose d=%-8d %-4s %10.3fs", d, sys, p.Elapsed.Seconds())
+		}
+		if err := res.checkOutputs(); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -244,6 +267,9 @@ func RunMerge(cfg Config) (*Result, error) {
 			res.Points = append(res.Points, p)
 			cfg.progress("merge     d=%-8d %-4s %10.3fs", d, sys, p.Elapsed.Seconds())
 		}
+		if err := res.checkOutputs(); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -306,6 +332,9 @@ func RunGeneralMerge(cfg Config) (*Result, error) {
 			res.Points = append(res.Points, p)
 			cfg.progress("general   d=%-8d %-4s %10.3fs", d, sys, p.Elapsed.Seconds())
 		}
+		if err := res.checkOutputs(); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -326,6 +355,9 @@ func RunScale(cfg Config, rowCounts []int, distinct int) (*Result, error) {
 			p.Distinct = rows
 			res.Points = append(res.Points, p)
 			cfg.progress("scale     n=%-8d %-4s %10.3fs", rows, sys, p.Elapsed.Seconds())
+		}
+		if err := res.checkOutputs(); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

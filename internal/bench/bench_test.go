@@ -150,3 +150,25 @@ func TestUnknownSystem(t *testing.T) {
 		t.Fatal("unknown system should fail")
 	}
 }
+
+func TestCheckOutputsRejectsDisagreement(t *testing.T) {
+	res := &Result{Experiment: "decompose", Points: []Point{
+		{System: SystemCODS, Distinct: 10, OutputRows: 110},
+		{System: SystemMonet, Distinct: 10, OutputRows: 110},
+		{System: SystemCODS, Distinct: 100, OutputRows: 200},
+		{System: SystemCommercial, Distinct: 100, OutputRows: 199},
+	}}
+	err := res.checkOutputs()
+	if err == nil {
+		t.Fatal("disagreeing output rows at d=100 passed the check")
+	}
+	for _, want := range []string{"x=100", "C wrote 199", "D wrote 200"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	res.Points[3].OutputRows = 200
+	if err := res.checkOutputs(); err != nil {
+		t.Fatalf("agreeing points rejected: %v", err)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"cods/internal/colquery"
 )
 
 func TestMergeGeneralCompositeJoin(t *testing.T) {
@@ -88,6 +90,12 @@ func TestDecomposeKeyColumnSharesDictionary(t *testing.T) {
 	}
 	if err := res.T.ValidateKey(); err != nil {
 		t.Fatal(err)
+	}
+	// The outputs' key columns share dictionary lineage, so the planner's
+	// semi-join matches S to T by dictionary id without decoding a row.
+	skey, _ := res.S.Column("K")
+	if !colquery.SharedLineage(skey, kcol) {
+		t.Fatal("decomposed key columns lost dictionary lineage; the semi-join path would not engage")
 	}
 	// Row order of T follows first occurrence in R.
 	firstSeen := map[string]bool{}

@@ -22,7 +22,7 @@ type Spec struct {
 	// A (the Figure 3 x-axis: 100 … 1M).
 	DistinctKeys int
 	// DistinctB is the number of distinct values of the non-key, non-FD
-	// attribute B. Zero means Rows/10 (many distinct skills).
+	// attribute B. Zero means Rows/10+1 (many distinct skills).
 	DistinctB int
 	// DistinctC is the number of distinct values C can take; each key
 	// maps deterministically to one of them. Zero means DistinctKeys/10+1.
@@ -219,114 +219,6 @@ func BuildRowstoreST(spec Spec, db *rowstore.DB, nameS, nameT string, kind rowst
 	}
 	return nil
 }
-
-// DMLGen streams the keyed DML mix of DML one statement at a time, so a
-// duration-bounded driver (cmd/codsbench htap) needn't materialize the
-// whole stream up front. keyPrefix is spliced into every inserted key
-// ("n<prefix>0000042"), letting N concurrent workers share one table
-// without their insert keys aliasing: each worker owns a disjoint key
-// range, so its DELETEs only ever hit its own inserts.
-type DMLGen struct {
-	spec      Spec
-	table     string
-	keyPrefix string
-	rng       *rand.Rand
-	i         int
-	inserted  int
-}
-
-// NewDMLGen returns a generator producing the same statement stream DML
-// materializes (for an empty keyPrefix), seeded by spec.Seed.
-func NewDMLGen(spec Spec, table, keyPrefix string) *DMLGen {
-	spec = spec.withDefaults()
-	return &DMLGen{
-		spec:      spec,
-		table:     table,
-		keyPrefix: keyPrefix,
-		rng:       rand.New(rand.NewSource(spec.Seed + 1)),
-	}
-}
-
-// Next returns the next DML statement of the stream.
-func (g *DMLGen) Next() string {
-	i := g.i
-	g.i++
-	switch {
-	case i%4 == 0 || i%4 == 2:
-		stmt := fmt.Sprintf("INSERT INTO %s VALUES ('n%s%07d', 'b%07d', 'c%07d')",
-			g.table, g.keyPrefix, g.inserted, g.rng.Intn(g.spec.DistinctB), g.rng.Intn(g.spec.DistinctC))
-		g.inserted++
-		return stmt
-	case i%4 == 1:
-		return fmt.Sprintf("UPDATE %s SET B = 'b%07d' WHERE A = 'k%07d'",
-			g.table, g.rng.Intn(g.spec.DistinctB), g.rng.Intn(g.spec.DistinctKeys))
-	default:
-		return fmt.Sprintf("DELETE FROM %s WHERE A = 'n%s%07d'",
-			g.table, g.keyPrefix, g.rng.Intn(g.inserted))
-	}
-}
-
-// DML returns a reproducible stream of n DML statements against a table
-// generated by BuildColstore (columns A, B, C): about half INSERTs of
-// fresh rows under new keys (each new key maps to one C value, so the FD
-// A→C keeps holding and decompositions stay lossless), a quarter UPDATEs
-// of B on existing keys, and a quarter DELETEs of previously inserted
-// keys (bounding net growth). Seeded by spec.Seed; the mixed-workload
-// benchmark and tests replay the same stream.
-func DML(spec Spec, table string, n int) []string {
-	g := NewDMLGen(spec, table, "")
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, g.Next())
-	}
-	return out
-}
-
-// Reads draws the read side of an HTAP workload against a table generated
-// by BuildColstore: point-read predicates over the key attribute A with a
-// zipfian key chooser (spec.ZipfS > 1 skews toward hot keys, matching the
-// skew BuildColstore used to populate the table; otherwise uniform), and
-// the GROUP-BY column for analytic scans. Seeded independently of the
-// data generator so read traffic is reproducible per worker.
-type Reads struct {
-	spec Spec
-	rng  *rand.Rand
-	zipf *rand.Zipf
-}
-
-// NewReads returns a read generator over spec's key space, seeded by seed
-// (one generator per worker, each with its own seed, keeps streams
-// reproducible under concurrency).
-func NewReads(spec Spec, seed int64) *Reads {
-	spec = spec.withDefaults()
-	r := &Reads{spec: spec, rng: rand.New(rand.NewSource(seed))}
-	if spec.ZipfS > 1 {
-		r.zipf = rand.NewZipf(r.rng, spec.ZipfS, 1, uint64(spec.DistinctKeys-1))
-	}
-	return r
-}
-
-// PointKey returns the key value of the next point read ("k0000042"),
-// zipfian-skewed when the spec says so.
-func (r *Reads) PointKey() string {
-	k := 0
-	if r.zipf != nil {
-		k = int(r.zipf.Uint64())
-	} else {
-		k = r.rng.Intn(r.spec.DistinctKeys)
-	}
-	return fmt.Sprintf("k%07d", k)
-}
-
-// PointCondition returns the next point-read predicate over the key
-// attribute, in the WHERE syntax Query/Count and POST /query accept.
-func (r *Reads) PointCondition() string {
-	return fmt.Sprintf("A = '%s'", r.PointKey())
-}
-
-// ScanColumn is the low-cardinality column analytic GROUP-BY scans group
-// on (C carries the FD A→C, so its distinct count is DistinctC).
-func ScanColumn() string { return "C" }
 
 // EmployeeRows returns the seven tuples of the paper's Figure 1.
 func EmployeeRows() [][]string {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cods/internal/rowstore"
-	"cods/internal/smo"
 )
 
 func TestForEachRowShape(t *testing.T) {
@@ -154,46 +153,5 @@ func TestEmployeeTable(t *testing.T) {
 	}
 	if tab.NumRows() != 7 {
 		t.Fatalf("rows=%d", tab.NumRows())
-	}
-}
-
-// TestDMLStatementsParseAndPreserveFD: every generated statement must
-// parse, and the insert stream must keep the FD A → C intact (so
-// decomposing a DML'd table stays lossless).
-func TestDMLStatementsParseAndPreserveFD(t *testing.T) {
-	spec := Spec{Rows: 100, DistinctKeys: 10, Seed: 3}
-	stmts := DML(spec, "R", 40)
-	if len(stmts) != 40 {
-		t.Fatalf("got %d statements, want 40", len(stmts))
-	}
-	kinds := map[string]int{}
-	cOf := map[string]string{}
-	for _, s := range stmts {
-		op, err := smo.Parse(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
-		}
-		kinds[op.Kind()]++
-		if ins, ok := op.(smo.Insert); ok {
-			if len(ins.Values) != 3 {
-				t.Fatalf("insert arity %d: %q", len(ins.Values), s)
-			}
-			if prev, seen := cOf[ins.Values[0]]; seen && prev != ins.Values[2] {
-				t.Fatalf("FD violated for inserted key %s: %s vs %s", ins.Values[0], prev, ins.Values[2])
-			}
-			cOf[ins.Values[0]] = ins.Values[2]
-		}
-	}
-	for _, k := range []string{"INSERT", "UPDATE", "DELETE"} {
-		if kinds[k] == 0 {
-			t.Fatalf("no %s statements in %v", k, kinds)
-		}
-	}
-	// Reproducible.
-	again := DML(spec, "R", 40)
-	for i := range stmts {
-		if stmts[i] != again[i] {
-			t.Fatalf("statement %d differs across runs", i)
-		}
 	}
 }

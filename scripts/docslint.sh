@@ -3,11 +3,11 @@
 #
 # 1. Every Go package must carry a package-level doc comment: library
 #    packages "// Package <name> ...", commands "// Command ...".
-# 2. BENCHMARKS.md must not drift from the code it documents: every
-#    `codsbench htap -flag` it shows must exist in `codsbench htap -h`,
-#    every `codsbench joins -flag` in `codsbench joins -h`, every plain
-#    `codsbench -flag` in `codsbench -h`, and every `make <target>` it
-#    references must be a real Makefile target.
+# 2. README.md must not drift from the commands it documents: every
+#    flag on a line that runs codsbench must exist in `codsbench -h`, and
+#    every `make <target>` named in README.md or ARCHITECTURE.md
+#    (backticked, or at the start of a line in a code block) must be a
+#    real Makefile target.
 # 3. Every `cods serve` flag must be documented: each flag that
 #    `cods serve -h` reports must appear (backticked) in README.md and
 #    in the cmd/cods command doc comment's usage block.
@@ -52,41 +52,32 @@ for dir in . ./internal/* ./internal/*/* ./cmd/*; do
     fi
 done
 
-if [ -f BENCHMARKS.md ]; then
-    # flag's -h output lists each flag as "  -name type" (or "  -name"
-    # for booleans); anchor on that so -read cannot pass by matching a
-    # substring of -slo-read-p99. The while loops run in subshells, so
-    # violations are collected via their stdout rather than a variable.
-    htap_help=$(go run ./cmd/codsbench htap -h 2>&1)
-    joins_help=$(go run ./cmd/codsbench joins -h 2>&1)
-    main_help=$(go run ./cmd/codsbench -h 2>&1)
-
-    check_flags() {
-        mode=$1 pattern=$2 help=$3
-        grep -E "$pattern" BENCHMARKS.md | grep -oE ' -[a-z][a-z0-9-]*' | sort -u |
-        while read -r flag; do
-            name=${flag#-}
-            case "$name" in h|help) continue ;; esac # flag's built-in help
-            if ! printf '%s\n' "$help" | grep -qE "^  -$name( |\$)"; then
-                echo "docslint: BENCHMARKS.md uses flag -$name not in \`codsbench${mode:+ $mode} -h\`"
-            fi
-        done
-    }
-    viol=$(
-        check_flags "htap" 'codsbench htap ' "$htap_help"
-        check_flags "joins" 'codsbench joins ' "$joins_help"
-        check_flags "" 'codsbench -' "$main_help"
-        grep -oE '`make [a-z][a-z-]*`' BENCHMARKS.md | tr -d '`' | sort -u |
+# flag's -h output lists each flag as "  -name type" (or "  -name" for
+# booleans); anchor on that so -row cannot pass by matching a prefix of
+# -rows. The while loops run in subshells, so violations are collected
+# via their stdout rather than a variable.
+bench_help=$(go run ./cmd/codsbench -h 2>&1)
+viol=$(
+    grep -E 'codsbench ' README.md | grep -oE ' -[a-z][a-z0-9-]*' | sort -u |
+    while read -r flag; do
+        name=${flag#-}
+        case "$name" in h|help) continue ;; esac # flag's built-in help
+        if ! printf '%s\n' "$bench_help" | grep -qE "^  -$name( |\$)"; then
+            echo "docslint: README.md uses flag -$name not in \`codsbench -h\`"
+        fi
+    done
+    for doc in README.md ARCHITECTURE.md; do
+        grep -oE '(`|^)make [a-z][a-z0-9-]*' "$doc" | tr -d '`' | sort -u |
         while read -r _ target; do
             if ! grep -qE "^$target:" Makefile; then
-                echo "docslint: BENCHMARKS.md references \`make $target\` but Makefile has no such target"
+                echo "docslint: $doc references \`make $target\` but Makefile has no such target"
             fi
         done
-    )
-    if [ -n "$viol" ]; then
-        echo "$viol"
-        fail=1
-    fi
+    done
+)
+if [ -n "$viol" ]; then
+    echo "$viol"
+    fail=1
 fi
 
 # cods serve flags: -h is generated from the flag set, so it is the
@@ -203,5 +194,5 @@ if [ -n "$viol" ]; then
     fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "docslint: all packages documented, benchmark, flag, grammar, and codslint docs consistent, one read path, no pool-size knob"
+[ "$fail" -eq 0 ] && echo "docslint: all packages documented, codsbench and make, flag, grammar, and codslint docs consistent, one read path, no pool-size knob"
 exit $fail

@@ -65,6 +65,15 @@ func TestSelectJoinOracleAfterDecompose(t *testing.T) {
 	if _, err := db.Exec("DECOMPOSE TABLE R INTO S (Employee, Skill, Hours), T (Employee, Address)"); err != nil {
 		t.Fatal(err)
 	}
+	// The reused output keeps the input's segments (bulk load plus the
+	// compacted inserts) rather than arriving restitched as one.
+	segments := map[string]int{}
+	for _, ts := range db.MemStats().Tables {
+		segments[ts.Table] = ts.Segments
+	}
+	if segments["S"] < 2 {
+		t.Fatalf("DECOMPOSE output S has %d segments, want the input's multi-segment layout", segments["S"])
+	}
 
 	joined := "S JOIN T ON (Employee)"
 	for i, q := range queries {
