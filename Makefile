@@ -32,17 +32,17 @@ test-shuffle:
 # Race-detector pass over the concurrency-sensitive packages: the parallel
 # execution layer, the evolution algorithms that fan out over it, the WAH
 # kernels and column store they run on, the query operators and planner
-# (per-distinct-value fan-out), the engine's atomic catalog publication,
-# the DML delta overlay (lazy flush caching racing concurrent readers),
-# the segmented persistence layer, the SMO parser the WAL replays through,
-# the public facade (lock-free reads racing Exec and DML, plus the
-# property test against the row model), and the HTTP serving layer
+# (per-distinct-value fan-out), the DML delta overlay (lazy flush caching
+# racing concurrent readers), the segmented persistence layer, the SMO
+# parser the WAL replays through, the public facade and its engine
+# (atomic catalog publication, lock-free reads racing Exec and DML, plus
+# the property test against the row model), and the HTTP serving layer
 # (concurrent requests racing evolutions). CI runs this target, so the
 # list lives here only.
 race:
 	$(GO) test -race cods cods/internal/par cods/internal/evolve \
 		cods/internal/wah cods/internal/colstore cods/internal/colquery \
-		cods/internal/core cods/internal/delta cods/internal/server \
+		cods/internal/delta cods/internal/server \
 		cods/internal/storage cods/internal/smo cods/internal/plan
 
 # Short native-fuzz pass (seed corpora + 5s live fuzzing per target) over

@@ -68,9 +68,9 @@ func main() {
 		}
 		res.Format(os.Stdout)
 		speedups := res.Speedups()
-		for _, d := range res.Distincts {
-			if s, ok := speedups[d]; ok {
-				fmt.Printf("# d=%d: CODS speedup over slowest query-level system = %.1fx\n", d, s)
+		for _, x := range res.Xs {
+			if s, ok := speedups[x]; ok {
+				fmt.Printf("# %s=%d: CODS speedup over slowest query-level system = %.1fx\n", res.Axis, x, s)
 			}
 		}
 		fmt.Println()

@@ -158,10 +158,12 @@
 // read observes the whole schema version that was current when it
 // started: never a partially applied operator, and never the outputs of
 // an SMO that has not committed. Catalog-changing calls (Exec,
-// ExecScript, Rollback, CreateTableFromRows, LoadCSV) serialize on an
-// internal mutex, build the next version off to the side, and publish it
-// with one atomic swap at commit; Rollback publishes the restored version
-// the same way. Tables are immutable, so results already materialized
+// ExecScript, Rollback, CreateTableFromRows, LoadCSV, Compact,
+// Checkpoint) serialize on one internal mutex, build the next version off
+// to the side, and publish it with one atomic swap as the call returns —
+// on a durable database after the change is durable; Rollback publishes
+// the restored version the same way, and a script publishes once, after
+// its last statement. Tables are immutable, so results already materialized
 // stay valid across subsequent evolutions, and DB.Snapshot pins one
 // schema version explicitly for multi-step reads.
 //

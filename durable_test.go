@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cods/internal/storage"
 )
 
 func openDurable(t *testing.T, dir string) *DB {
@@ -196,6 +198,90 @@ func TestDurableRollbackCheckpoints(t *testing.T) {
 	re := openDurable(t, dir)
 	if got, want := re.Tables(), []string{"r"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered tables = %v, want %v", got, want)
+	}
+}
+
+// TestDurableWritesPublishAfterCheckpoint checks durability before
+// visibility on the checkpointing write paths: while CreateTableFromRows,
+// Rollback and a non-replayable Exec write the snapshot that makes their
+// change durable, the lock-free Snapshot still shows the catalog without
+// the change (while the snapshot being written carries it); once the
+// call returns, the change is visible, and later statements publish as
+// usual.
+func TestDurableWritesPublishAfterCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db := openDurable(t, dir)
+	var during []*Snapshot
+	storage.CrashPoint = func(point string) {
+		if point == "manifest-written" {
+			during = append(during, db.Snapshot())
+		}
+	}
+	defer func() { storage.CrashPoint = nil }()
+
+	if err := db.CreateTableFromRows("r", []string{"a"}, nil, [][]string{{"1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(during) != 1 {
+		t.Fatalf("CreateTableFromRows reached manifest-written %d times, want 1", len(during))
+	}
+	if during[0].HasTable("r") {
+		t.Fatal("bulk-loaded table visible before its checkpoint finished")
+	}
+	if !db.HasTable("r") {
+		t.Fatal("bulk-loaded table not visible after CreateTableFromRows returned")
+	}
+
+	mustExec(t, db, "RENAME TABLE r TO s") // journaled, no checkpoint
+	during = nil
+	if err := db.Rollback(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(during) != 1 {
+		t.Fatalf("Rollback reached manifest-written %d times, want 1", len(during))
+	}
+	if got := during[0]; got.Version() != 1 || !got.HasTable("s") || got.HasTable("r") {
+		t.Fatalf("during Rollback readers saw version %d with tables %v, want version 1 with [s]", got.Version(), got.Tables())
+	}
+	if got := db.Snapshot(); got.Version() != 2 || !got.HasTable("r") || got.HasTable("s") {
+		t.Fatalf("after Rollback readers see version %d with tables %v, want version 2 with [r]", got.Version(), got.Tables())
+	}
+
+	mustExec(t, db, "RENAME TABLE r TO t")
+	if got := db.Version(); got != 3 {
+		t.Fatalf("version after a later statement = %d, want 3", got)
+	}
+
+	// A file-fed column cannot be replayed from the log, so Exec
+	// checkpoints it, and readers see it only once Exec returns.
+	values := filepath.Join(t.TempDir(), "z.txt")
+	if err := os.WriteFile(values, []byte("v\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	during = nil
+	mustExec(t, db, fmt.Sprintf("ADD COLUMN z TO t FROM '%s'", values))
+	if len(during) != 1 {
+		t.Fatalf("Exec(ADD COLUMN ... FROM) reached manifest-written %d times, want 1", len(during))
+	}
+	if cols, err := during[0].Columns("t"); err != nil || during[0].Version() != 3 || !reflect.DeepEqual(cols, []string{"a"}) {
+		t.Fatalf("during Exec readers saw version %d with t columns %v (err %v), want version 3 with [a]", during[0].Version(), cols, err)
+	}
+	if cols, err := db.Columns("t"); err != nil || db.Version() != 4 || !reflect.DeepEqual(cols, []string{"a", "z"}) {
+		t.Fatalf("after Exec readers see version %d with t columns %v (err %v), want version 4 with [a z]", db.Version(), cols, err)
+	}
+
+	// The checkpoints persisted the changes they held back from readers:
+	// recovery loads the last snapshot (r with its bulk-loaded row,
+	// rolled back, renamed and given column z).
+	re := openDurable(t, dir)
+	if got, want := re.Tables(), []string{"t"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered tables = %v, want %v", got, want)
+	}
+	if n, err := re.NumRows("t"); err != nil || n != 1 {
+		t.Fatalf("recovered t has %d rows (err %v), want 1", n, err)
+	}
+	if cols, err := re.Columns("t"); err != nil || !reflect.DeepEqual(cols, []string{"a", "z"}) {
+		t.Fatalf("recovered t columns = %v (err %v), want [a z]", cols, err)
 	}
 }
 

@@ -53,10 +53,11 @@ var Figure3aSystems = []System{SystemCODS, SystemCommercial, SystemCommercialIdx
 // Figure3bSystems are the mergence panel's lines (the paper omits S).
 var Figure3bSystems = []System{SystemCODS, SystemCommercial, SystemCommercialIdx, SystemMonet}
 
-// Point is one measurement: one system at one distinct-value count.
+// Point is one measurement: one system at one x-axis value (a
+// distinct-value count or a row count, see Result.Axis).
 type Point struct {
 	System     System
-	Distinct   int
+	X          int
 	Elapsed    time.Duration
 	OutputRows uint64
 }
@@ -84,18 +85,29 @@ func (c Config) progress(format string, args ...any) {
 	}
 }
 
+// Axis values: what a Result's x-axis counts.
+const (
+	AxisDistinct = "distinct" // Figure 3: distinct values at a fixed row count
+	AxisRows     = "rows"     // scale: input rows at a fixed distinct count
+)
+
 // Result is a full experiment: a grid of points.
 type Result struct {
 	Experiment string
-	Rows       int
-	Systems    []System
-	Distincts  []int
-	Points     []Point
+	// Axis is what Xs and each Point's X count (AxisDistinct or
+	// AxisRows). Fixed is the parameter held constant: the input row
+	// count on the distinct axis, the distinct-value count on the rows
+	// axis.
+	Axis    string
+	Fixed   int
+	Systems []System
+	Xs      []int
+	Points  []Point
 }
 
-func (r *Result) point(sys System, distinct int) *Point {
+func (r *Result) point(sys System, x int) *Point {
 	for i := range r.Points {
-		if r.Points[i].System == sys && r.Points[i].Distinct == distinct {
+		if r.Points[i].System == sys && r.Points[i].X == x {
 			return &r.Points[i]
 		}
 	}
@@ -103,18 +115,22 @@ func (r *Result) point(sys System, distinct int) *Point {
 }
 
 // Format renders the result as the figure's data grid: one row per
-// distinct count, one column per system, times in seconds.
+// x-axis value, one column per system, times in seconds.
 func (r *Result) Format(w io.Writer) {
-	fmt.Fprintf(w, "# %s, %d input rows (paper Figure 3 shape: time vs #distinct values)\n", r.Experiment, r.Rows)
-	fmt.Fprintf(w, "%12s", "#distinct")
+	if r.Axis == AxisRows {
+		fmt.Fprintf(w, "# %s, at most %d distinct values (time vs #rows)\n", r.Experiment, r.Fixed)
+	} else {
+		fmt.Fprintf(w, "# %s, %d input rows (paper Figure 3 shape: time vs #distinct values)\n", r.Experiment, r.Fixed)
+	}
+	fmt.Fprintf(w, "%12s", "#"+r.Axis)
 	for _, s := range r.Systems {
 		fmt.Fprintf(w, " %12s", string(s))
 	}
 	fmt.Fprintln(w)
-	for _, d := range r.Distincts {
-		fmt.Fprintf(w, "%12d", d)
+	for _, x := range r.Xs {
+		fmt.Fprintf(w, "%12d", x)
 		for _, s := range r.Systems {
-			if p := r.point(s, d); p != nil {
+			if p := r.point(s, x); p != nil {
 				fmt.Fprintf(w, " %12.3f", p.Elapsed.Seconds())
 			} else {
 				fmt.Fprintf(w, " %12s", "-")
@@ -139,25 +155,25 @@ func (r *Result) Format(w io.Writer) {
 func (r *Result) checkOutputs() error {
 	first := make(map[int]Point)
 	for _, p := range r.Points {
-		f, ok := first[p.Distinct]
+		f, ok := first[p.X]
 		if !ok {
-			first[p.Distinct] = p
+			first[p.X] = p
 			continue
 		}
 		if p.OutputRows != f.OutputRows {
 			return fmt.Errorf("bench: %s x=%d: %s wrote %d rows, %s wrote %d",
-				r.Experiment, p.Distinct, p.System, p.OutputRows, f.System, f.OutputRows)
+				r.Experiment, p.X, p.System, p.OutputRows, f.System, f.OutputRows)
 		}
 	}
 	return nil
 }
 
-// Speedups returns, per distinct count, the ratio of the slowest non-CODS
+// Speedups returns, per x-axis value, the ratio of the slowest non-CODS
 // system to CODS — the paper's "orders of magnitude" claim quantified.
 func (r *Result) Speedups() map[int]float64 {
 	out := make(map[int]float64)
-	for _, d := range r.Distincts {
-		cods := r.point(SystemCODS, d)
+	for _, x := range r.Xs {
+		cods := r.point(SystemCODS, x)
 		if cods == nil || cods.Elapsed <= 0 {
 			continue
 		}
@@ -166,12 +182,12 @@ func (r *Result) Speedups() map[int]float64 {
 			if s == SystemCODS {
 				continue
 			}
-			if p := r.point(s, d); p != nil && p.Elapsed > worst {
+			if p := r.point(s, x); p != nil && p.Elapsed > worst {
 				worst = p.Elapsed
 			}
 		}
 		if worst > 0 {
-			out[d] = worst.Seconds() / cods.Elapsed.Seconds()
+			out[x] = worst.Seconds() / cods.Elapsed.Seconds()
 		}
 	}
 	return out
@@ -190,8 +206,8 @@ func (c Config) distincts() []int {
 // RunDecompose regenerates Figure 3(a): decompose R(A,B,C) into S(A,B) and
 // T(A,C) at each distinct-value count, on each system.
 func RunDecompose(cfg Config) (*Result, error) {
-	res := &Result{Experiment: "decompose", Rows: cfg.Rows, Systems: cfg.Systems, Distincts: cfg.distincts()}
-	for _, d := range res.Distincts {
+	res := &Result{Experiment: "decompose", Axis: AxisDistinct, Fixed: cfg.Rows, Systems: cfg.Systems, Xs: cfg.distincts()}
+	for _, d := range res.Xs {
 		spec := workload.Spec{Rows: cfg.Rows, DistinctKeys: d, Seed: cfg.Seed, ZipfS: cfg.ZipfS}
 		for _, sys := range cfg.Systems {
 			p, err := runDecomposeOn(sys, spec, cfg)
@@ -209,7 +225,7 @@ func RunDecompose(cfg Config) (*Result, error) {
 }
 
 func runDecomposeOn(sys System, spec workload.Spec, cfg Config) (Point, error) {
-	point := Point{System: sys, Distinct: spec.DistinctKeys}
+	point := Point{System: sys, X: spec.DistinctKeys}
 	switch sys {
 	case SystemCODS, SystemMonet:
 		r, err := workload.BuildColstore(spec, "R")
@@ -256,8 +272,8 @@ func runDecomposeOn(sys System, spec workload.Spec, cfg Config) (Point, error) {
 // RunMerge regenerates Figure 3(b): merge S(A,B) with T(A,C) (key–foreign
 // key) back into R at each distinct-value count, on each system.
 func RunMerge(cfg Config) (*Result, error) {
-	res := &Result{Experiment: "merge", Rows: cfg.Rows, Systems: cfg.Systems, Distincts: cfg.distincts()}
-	for _, d := range res.Distincts {
+	res := &Result{Experiment: "merge", Axis: AxisDistinct, Fixed: cfg.Rows, Systems: cfg.Systems, Xs: cfg.distincts()}
+	for _, d := range res.Xs {
 		spec := workload.Spec{Rows: cfg.Rows, DistinctKeys: d, Seed: cfg.Seed, ZipfS: cfg.ZipfS}
 		for _, sys := range cfg.Systems {
 			p, err := runMergeOn(sys, spec, cfg)
@@ -275,7 +291,7 @@ func RunMerge(cfg Config) (*Result, error) {
 }
 
 func runMergeOn(sys System, spec workload.Spec, cfg Config) (Point, error) {
-	point := Point{System: sys, Distinct: spec.DistinctKeys}
+	point := Point{System: sys, X: spec.DistinctKeys}
 	switch sys {
 	case SystemCODS, SystemMonet:
 		s, t, err := workload.BuildColstoreST(spec, "S", "T")
@@ -321,8 +337,8 @@ func runMergeOn(sys System, spec workload.Spec, cfg Config) (Point, error) {
 // join S(A,B) with T2(A,C) where A is a key of neither input. T2 carries
 // two rows per distinct join value, so the output is about twice the input.
 func RunGeneralMerge(cfg Config) (*Result, error) {
-	res := &Result{Experiment: "general-merge", Rows: cfg.Rows, Systems: cfg.Systems, Distincts: cfg.distincts()}
-	for _, d := range res.Distincts {
+	res := &Result{Experiment: "general-merge", Axis: AxisDistinct, Fixed: cfg.Rows, Systems: cfg.Systems, Xs: cfg.distincts()}
+	for _, d := range res.Xs {
 		spec := workload.Spec{Rows: cfg.Rows, DistinctKeys: d, Seed: cfg.Seed, ZipfS: cfg.ZipfS}
 		for _, sys := range cfg.Systems {
 			p, err := runGeneralMergeOn(sys, spec, cfg)
@@ -342,9 +358,10 @@ func RunGeneralMerge(cfg Config) (*Result, error) {
 // RunScale measures decomposition time as the row count grows at a fixed
 // distinct-value count — the scalability axis of the paper's title,
 // complementing Figure 3's distinct-value axis. Results are reported as
-// Points with Distinct carrying the row count.
+// Points on the rows axis, the distinct count fixed (capped at each row
+// count).
 func RunScale(cfg Config, rowCounts []int, distinct int) (*Result, error) {
-	res := &Result{Experiment: "scale (x-axis = rows)", Rows: distinct, Systems: cfg.Systems, Distincts: rowCounts}
+	res := &Result{Experiment: "scale", Axis: AxisRows, Fixed: distinct, Systems: cfg.Systems, Xs: rowCounts}
 	for _, rows := range rowCounts {
 		spec := workload.Spec{Rows: rows, DistinctKeys: min(distinct, rows), Seed: cfg.Seed, ZipfS: cfg.ZipfS}
 		for _, sys := range cfg.Systems {
@@ -352,7 +369,7 @@ func RunScale(cfg Config, rowCounts []int, distinct int) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: scale %s rows=%d: %w", sys, rows, err)
 			}
-			p.Distinct = rows
+			p.X = rows
 			res.Points = append(res.Points, p)
 			cfg.progress("scale     n=%-8d %-4s %10.3fs", rows, sys, p.Elapsed.Seconds())
 		}
@@ -387,7 +404,7 @@ func doubleDim(t1 *colstore.Table) (*colstore.Table, error) {
 }
 
 func runGeneralMergeOn(sys System, spec workload.Spec, cfg Config) (Point, error) {
-	point := Point{System: sys, Distinct: spec.DistinctKeys}
+	point := Point{System: sys, X: spec.DistinctKeys}
 	switch sys {
 	case SystemCODS, SystemMonet:
 		s, t1, err := workload.BuildColstoreST(spec, "S", "T1")

@@ -20,15 +20,15 @@ func TestRunDecomposeAllSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Distincts) != 2 {
-		t.Fatalf("distincts=%v (10000 should be skipped)", res.Distincts)
+	if len(res.Xs) != 2 {
+		t.Fatalf("distincts=%v (10000 should be skipped)", res.Xs)
 	}
 	if len(res.Points) != 2*len(Figure3aSystems) {
 		t.Fatalf("points=%d", len(res.Points))
 	}
 	// Every system must produce the same output cardinality: rows(S) +
 	// rows(T) = rows + distinct-drawn.
-	for _, d := range res.Distincts {
+	for _, d := range res.Xs {
 		var want uint64
 		for _, sys := range Figure3aSystems {
 			p := res.point(sys, d)
@@ -50,7 +50,7 @@ func TestRunMergeAllSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range res.Distincts {
+	for _, d := range res.Xs {
 		for _, sys := range Figure3bSystems {
 			p := res.point(sys, d)
 			if p == nil || p.OutputRows != 4000 {
@@ -66,7 +66,7 @@ func TestRunGeneralMergeAllSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every join value has two dimension rows: output = 2x input rows.
-	for _, d := range res.Distincts {
+	for _, d := range res.Xs {
 		for _, sys := range []System{SystemCODS, SystemCommercial, SystemMonet} {
 			p := res.point(sys, d)
 			if p == nil || p.OutputRows != 8000 {
@@ -97,6 +97,34 @@ func TestFormatAndSpeedups(t *testing.T) {
 	sp := res.Speedups()
 	if _, ok := sp[50]; !ok {
 		t.Fatalf("speedups=%v", sp)
+	}
+}
+
+// TestFormatScaleAxis checks a scale result labels its x-axis as row
+// counts and its fixed parameter as a distinct-value count.
+func TestFormatScaleAxis(t *testing.T) {
+	res := &Result{
+		Experiment: "scale",
+		Axis:       AxisRows,
+		Fixed:      10000,
+		Systems:    []System{SystemCODS},
+		Xs:         []int{5000, 20000},
+		Points:     []Point{{System: SystemCODS, X: 5000}, {System: SystemCODS, X: 20000}},
+	}
+	var buf bytes.Buffer
+	res.Format(&buf)
+	lines := strings.Split(buf.String(), "\n")
+	if want := "# scale, at most 10000 distinct values (time vs #rows)"; lines[0] != want {
+		t.Fatalf("header = %q, want %q", lines[0], want)
+	}
+	if f := strings.Fields(lines[1]); len(f) != 2 || f[0] != "#rows" || f[1] != "D" {
+		t.Fatalf("grid header = %q, want #rows then D", lines[1])
+	}
+	if f := strings.Fields(lines[2]); len(f) != 2 || f[0] != "5000" {
+		t.Fatalf("first grid row = %q, want x = 5000", lines[2])
+	}
+	if strings.Contains(buf.String(), "#distinct") || strings.Contains(buf.String(), "input rows") {
+		t.Fatalf("scale result labelled with the distinct axis:\n%s", buf.String())
 	}
 }
 
@@ -153,10 +181,10 @@ func TestUnknownSystem(t *testing.T) {
 
 func TestCheckOutputsRejectsDisagreement(t *testing.T) {
 	res := &Result{Experiment: "decompose", Points: []Point{
-		{System: SystemCODS, Distinct: 10, OutputRows: 110},
-		{System: SystemMonet, Distinct: 10, OutputRows: 110},
-		{System: SystemCODS, Distinct: 100, OutputRows: 200},
-		{System: SystemCommercial, Distinct: 100, OutputRows: 199},
+		{System: SystemCODS, X: 10, OutputRows: 110},
+		{System: SystemMonet, X: 10, OutputRows: 110},
+		{System: SystemCODS, X: 100, OutputRows: 200},
+		{System: SystemCommercial, X: 100, OutputRows: 199},
 	}}
 	err := res.checkOutputs()
 	if err == nil {

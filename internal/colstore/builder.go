@@ -122,29 +122,6 @@ func NewColumnFromBitmaps(name string, values []string, bitmaps []*wah.Bitmap, n
 	return &Column{name: name, dict: d, bitmaps: out, nrows: nrows}, nil
 }
 
-// NewColumnSharingDict assembles a column from per-value bitmaps that
-// cover every dictionary entry, sharing the dictionary object itself.
-// Columns are immutable, so sharing is safe; evolution fast paths use this
-// when every source value survives (e.g. the key column of a
-// decomposition's deduplicated output), avoiding re-interning large
-// dictionaries. bitmaps[i] is the vector of d.Value(i) and must be
-// non-empty.
-func NewColumnSharingDict(name string, d *dict.Dict, bitmaps []*wah.Bitmap, nrows uint64) (*Column, error) {
-	if len(bitmaps) != d.Len() {
-		return nil, fmt.Errorf("colstore: %d bitmaps for %d dictionary entries", len(bitmaps), d.Len())
-	}
-	for i, bm := range bitmaps {
-		if bm == nil || !bm.Any() {
-			return nil, fmt.Errorf("colstore: value %q has an empty bitmap; use NewColumnFromBitmaps to drop values", d.Value(uint32(i)))
-		}
-		if bm.Len() > nrows {
-			return nil, fmt.Errorf("colstore: bitmap for %q has %d bits, table has %d rows", d.Value(uint32(i)), bm.Len(), nrows)
-		}
-		bm.Extend(nrows)
-	}
-	return &Column{name: name, dict: d, bitmaps: bitmaps, nrows: nrows}, nil
-}
-
 // TableBuilder constructs a table by appending whole rows.
 type TableBuilder struct {
 	name     string

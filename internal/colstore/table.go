@@ -35,7 +35,7 @@ type Table struct {
 }
 
 // flatCache memoizes stitched whole-table columns by schema position. It
-// lives behind a pointer so metadata-only table copies (WithName, WithKey,
+// lives behind a pointer so metadata-only table copies (WithName,
 // merges — anything that provably preserves per-position column content)
 // can share it.
 type flatCache struct {
@@ -198,19 +198,6 @@ func (t *Table) WithName(name string) *Table {
 	nt := *t
 	nt.name = name
 	return &nt
-}
-
-// WithKey returns a table sharing all segments with a different declared
-// key.
-func (t *Table) WithKey(key []string) (*Table, error) {
-	for _, k := range key {
-		if _, ok := t.byName[k]; !ok {
-			return nil, fmt.Errorf("colstore: table %q key column %q not present", t.name, k)
-		}
-	}
-	nt := *t
-	nt.key = append([]string(nil), key...)
-	return &nt, nil
 }
 
 // WithTailSegment returns a table with seg appended after the existing

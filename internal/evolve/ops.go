@@ -99,8 +99,8 @@ func DropColumn(t *colstore.Table, name string, opt Options) (*colstore.Table, e
 
 // Copy implements COPY TABLE. Columns are immutable, so a copy shares all
 // column data with the source — constant time. It cannot currently fail,
-// but carries the same fallible signature as every other operator so core
-// callers need no special case.
+// but carries the same fallible signature as every other operator so the
+// engine's dispatch needs no special case.
 func Copy(t *colstore.Table, outName string, opt Options) (*colstore.Table, error) {
 	opt.trace(fmt.Sprintf("copy: sharing %s's columns as %s", t.Name(), outName))
 	return t.WithName(outName), nil

@@ -11,7 +11,7 @@
 // markers rather than hard-coded symbol names, so the suite keeps
 // working as the engine grows:
 //
-//	cods:writerlock    mutex field serializing writers (Engine.mu, DB.mu)
+//	cods:writerlock    mutex field serializing writers (DB.mu)
 //	cods:lockfree      function that must never take a writer lock
 //	cods:blocking      function that may block on IO (WAL append, snapshot)
 //	cods:immutable     type never written after construction once published

@@ -9,8 +9,8 @@ import (
 )
 
 // LockScope enforces the engine's central concurrency contract around
-// the writer mutexes (struct fields marked `// cods:writerlock`, i.e.
-// Engine.mu and DB.mu):
+// the writer mutex (struct fields marked `// cods:writerlock`, i.e.
+// DB.mu):
 //
 //   - While a writer lock is held, no call may block on IO or peers:
 //     calls into os/net/net/http, time.Sleep, functions or methods

@@ -8,7 +8,7 @@ import (
 )
 
 // PubImmutable enforces the publication contract of the types marked
-// `// cods:immutable` (core.Catalog, colstore.Segment, colstore.Column,
+// `// cods:immutable` (cods.Snapshot, colstore.Segment, colstore.Column,
 // wah.Bitmap): once a value escapes its defining package — in this
 // codebase, once it is reachable from the atomic.Pointer catalog swap —
 // nothing may write to it. Go already hides unexported fields, so the
@@ -19,7 +19,7 @@ import (
 //     field (`t.rows[i] = v`), and
 //
 //   - element writes through slices obtained from methods marked
-//     `// cods:shared-view` (Catalog.HistoryTail and friends), which
+//     `// cods:shared-view` (Snapshot.HistoryTail and friends), which
 //     return internal storage by reference for O(1) reads; the taint is
 //     tracked through local variables within a function.
 //

@@ -20,11 +20,11 @@ import (
 //
 // Two obligations, each anchored by a marker:
 //
-//   - Functions marked `// cods:stmt-dispatch` (Engine.Apply and
-//     Engine.execute) must, between them, name every implementer in a
+//   - Functions marked `// cods:stmt-dispatch` (DB.applyLocked and
+//     DB.execute) must, between them, name every implementer in a
 //     type switch case or a type assertion. Prune is dispatched by
-//     assertion in Apply rather than a switch case in execute, so the
-//     analyzer unions both forms across all marked functions of the
+//     assertion in applyLocked rather than a switch case in execute, so
+//     the analyzer unions both forms across all marked functions of the
 //     package before reporting what is missing.
 //
 //   - A package-level var marked `// cods:stmt-registry` (smo.AllOps)

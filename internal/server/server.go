@@ -63,7 +63,7 @@ type Config struct {
 }
 
 // Server serves a cods.DB over HTTP. Create with New, mount via Handler
-// (or run with Serve/ListenAndServe), stop with Shutdown.
+// (or run with Serve), stop with Shutdown.
 type Server struct {
 	db    *cods.DB
 	cfg   Config
@@ -192,15 +192,6 @@ func (s *Server) Serve(l net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Shutdown stops accepting connections and waits (bounded by ctx) for

@@ -11,7 +11,7 @@ import (
 )
 
 // Op is a schema modification operator. Implementations are plain data;
-// execution lives in the engine (internal/core). Every implementer must
+// execution lives in the engine (package cods, engine.go). Every implementer must
 // appear in the engine's statement dispatch (WAL replay runs through it)
 // and in AllOps; codslint's walreplay analyzer enforces both.
 //

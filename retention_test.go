@@ -248,6 +248,19 @@ func TestHistoryTail(t *testing.T) {
 	if got := db.Snapshot().HistoryLen(); got != len(full) {
 		t.Fatalf("Prune shrank history: %d -> %d", len(full), got)
 	}
+	// The tail is a shared view of the log: appending to an older
+	// snapshot's tail must not overwrite entries later versions added.
+	for i := 0; i < 8; i++ {
+		old := db.Snapshot()
+		stmt := fmt.Sprintf("INSERT INTO kv VALUES ('x%d', 'v')", i)
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+		_ = append(old.HistoryTail(1), cods.HistoryEntry{Op: "bogus"})
+		if h := db.HistoryTail(1); h[0].Op != stmt {
+			t.Fatalf("after appending to an older tail, the newest entry is %q, want %q", h[0].Op, stmt)
+		}
+	}
 }
 
 // Rollback, Prune, DML (with auto-compaction) and lock-free snapshot
