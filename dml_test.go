@@ -426,3 +426,58 @@ func TestConcurrentDMLQueriesAndEvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCompositeKeyValuesContainingNUL pins that composite key tuples are
+// compared column by column: ("a\x00", "b") and ("a", "\x00b") are two
+// distinct keys even though joining each tuple's values with NUL bytes
+// yields the same string. DECOMPOSE must keep both rows on both outputs,
+// with and without the functional-dependency check, DB.Validate must
+// accept the unique composite key, and MERGE must give R's rows back.
+func TestCompositeKeyValuesContainingNUL(t *testing.T) {
+	for _, validateFD := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ValidateFD=%v", validateFD), func(t *testing.T) {
+			db := cods.Open(cods.Config{ValidateFD: validateFD})
+			for _, stmt := range []string{
+				"CREATE TABLE R (K1, K2, V) KEY (K1, K2)",
+				"INSERT INTO R VALUES ('a\x00', 'b', 'x')",
+				"INSERT INTO R VALUES ('a', '\x00b', 'y')",
+			} {
+				if _, err := db.Exec(stmt); err != nil {
+					t.Fatalf("%q: %v", stmt, err)
+				}
+			}
+			want, err := db.Rows("R", 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Validate(); err != nil {
+				t.Errorf("validate before DECOMPOSE: %v", err)
+			}
+			if _, err := db.Exec("DECOMPOSE TABLE R INTO S (K1, K2), U (K1, K2, V)"); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"S", "U"} {
+				rows, err := db.Rows(name, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != 2 {
+					t.Fatalf("%s has %d rows, want 2: %q", name, len(rows), rows)
+				}
+			}
+			if err := db.Validate(); err != nil {
+				t.Errorf("validate after DECOMPOSE: %v", err)
+			}
+			if _, err := db.Exec("MERGE TABLES S, U INTO R"); err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Rows("R", 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("MERGE gave %q, want R's rows %q", got, want)
+			}
+		})
+	}
+}

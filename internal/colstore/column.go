@@ -20,14 +20,16 @@
 // created "right away using the existing columns ... without any data
 // operation") or builds new ones from compressed inputs.
 //
-// Two primitives serve the segment-wise evolution path (internal/evolve):
+// Three primitives serve the segment-wise evolution path (internal/evolve):
 // Column.RemapInto interns one segment's dictionary into a shared union
 // dictionary and returns the local-id → union-id mapping, so per-value
 // WAH bitmaps can be re-keyed under a global dictionary without being
-// decoded (the same kernel the lazy whole-table stitch uses); and
-// SegmentBuilder assembles an output segment column by column, sharing
-// input columns by pointer where an operator reuses them and accepting
-// freshly filtered bitmaps where it does not.
+// decoded (the same kernel the lazy whole-table stitch uses); Group is
+// the one key-grouping kernel, numbering the distinct value tuples of a
+// list of columns by their union ids and returning each group per
+// segment as a bitmap; and SegmentBuilder assembles an output segment
+// column by column, sharing input columns by pointer where an operator
+// reuses them and accepting freshly filtered bitmaps where it does not.
 package colstore
 
 import (

@@ -215,6 +215,20 @@ func TestSegmentedValidateKeyAcrossSegments(t *testing.T) {
 	}
 }
 
+// TestValidateKeyCompositeValuesContainingNUL pins that a composite key
+// is compared column by column: joining ("a\x00", "b") and ("a", "\x00b")
+// with NUL bytes gives one string, but they are two distinct keys.
+func TestValidateKeyCompositeValuesContainingNUL(t *testing.T) {
+	s := segmentFromRows(t, []string{"k1", "k2"}, [][]string{{"a\x00", "b"}, {"a", "\x00b"}})
+	tbl, err := NewSegmented("r", []string{"k1", "k2"}, []*Segment{s}, []string{"k1", "k2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.ValidateKey(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMergeTailPlan(t *testing.T) {
 	cases := []struct {
 		rows  []uint64

@@ -534,36 +534,19 @@ func (t *Table) Validate() error {
 }
 
 // ValidateKey verifies that the declared key is actually unique across
-// all segments. Cost is one pass over the key columns.
+// all segments: the key is unique iff it has one group per row. On a
+// one-column key that costs O(distinct); on a composite key, one decode
+// of the key columns.
 func (t *Table) ValidateKey() error {
 	if len(t.key) == 0 {
 		return nil
 	}
-	seen := make(map[string]bool, t.nrows)
-	var sb strings.Builder
-	for si, s := range t.segs {
-		ids := make([][]uint32, len(t.key))
-		cols := make([]*Column, len(t.key))
-		for i, k := range t.key {
-			c, err := s.Column(k)
-			if err != nil {
-				return err
-			}
-			cols[i] = c
-			ids[i] = c.RowIDs()
-		}
-		for r := uint64(0); r < s.nrows; r++ {
-			sb.Reset()
-			for i := range ids {
-				sb.WriteString(cols[i].dict.Value(ids[i][r]))
-				sb.WriteByte(0)
-			}
-			k := sb.String()
-			if seen[k] {
-				return fmt.Errorf("colstore: table %q key %v violated at row %d", t.name, t.key, t.offsets[si]+r)
-			}
-			seen[k] = true
-		}
+	g, err := Group(t, t.key)
+	if err != nil {
+		return err
+	}
+	if uint64(g.Len()) != t.nrows {
+		return fmt.Errorf("colstore: table %q key %v violated: %d rows hold %d distinct keys", t.name, t.key, t.nrows, g.Len())
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package evolve
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"cods/internal/colstore"
 	"cods/internal/wah"
@@ -49,17 +47,26 @@ func Decompose(r *colstore.Table, spec DecomposeSpec, opt Options) (*DecomposeRe
 		return nil, fmt.Errorf("evolve: decomposition of %q has no common attributes; the join would be a cross product", r.Name())
 	}
 
+	// Distinction (paper §2.4): one grouping of the common attributes
+	// decides the orientation and picks the deduplicated side's rows.
+	keys, err := colstore.Group(r, common)
+	if err != nil {
+		return nil, err
+	}
+	opt.trace(fmt.Sprintf("distinction: %d distinct %v across %d segments", keys.Len(), common, r.NumSegments()))
+
 	// Orientation: which output is keyed by the common attributes?
 	dedupT := true
 	if opt.ValidateFD {
-		okT := fdHoldsSegmented(r, common, minus(spec.TColumns, common), opt)
-		okS := fdHoldsSegmented(r, common, minus(spec.SColumns, common), opt)
-		switch {
-		case okT:
-			dedupT = true
-		case okS:
+		ok, err := fdHolds(r, keys, common, minus(spec.TColumns, common))
+		if err == nil && !ok {
 			dedupT = false
-		default:
+			ok, err = fdHolds(r, keys, common, minus(spec.SColumns, common))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			return nil, fmt.Errorf("evolve: decomposition of %q is lossy: common attributes %v are not a key of either output", r.Name(), common)
 		}
 	}
@@ -77,11 +84,8 @@ func Decompose(r *colstore.Table, spec DecomposeSpec, opt Options) (*DecomposeRe
 		return nil, err
 	}
 
-	// Steps 1+2 — distinction then bitmap filtering (paper §2.4),
-	// segment-wise: each segment finds local representatives and filters
-	// independently; the merge phase only deduplicates representative
-	// values across segment boundaries.
-	t, err := decomposeDedup(r, tName, tCols, common, opt)
+	// Step 2 — bitmap filtering (paper §2.4), segment-wise.
+	t, err := decomposeDedup(r, keys, tName, tCols, common, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -127,113 +131,27 @@ func validateDecomposeSpec(r *colstore.Table, spec DecomposeSpec) error {
 	return nil
 }
 
-// decomposeDedup builds the deduplicated output segment-wise. Map phase:
-// every segment locates its local representative rows — the first local
-// position of each locally distinct value of the common attributes — in
-// parallel. Merge phase: representatives whose value already occurred in
-// an earlier segment are dropped, so only the globally first occurrence
-// survives; segments are visited in order and local positions are
-// ascending, which keeps survivors in global row order: each key's first
-// row, in input order. Filter phase: each
-// contributing segment shrinks its bitmaps by its surviving local
-// positions and becomes one output segment; segments that introduce no
-// new value are skipped outright, which is what makes decomposition cost
-// proportional to the segments holding new values instead of the row
-// count.
-func decomposeDedup(r *colstore.Table, name string, columns, common []string, opt Options) (*colstore.Table, error) {
+// decomposeDedup builds the deduplicated output from the grouping of the
+// common attributes: each group's first row survives, where it first
+// appears globally. Groups are numbered in order of first appearance, so
+// the groups first seen in one segment are a run of consecutive numbers
+// whose first rows ascend: the survivors stay in global row order, each
+// key's first row in input order. Each segment holding survivors shrinks
+// its bitmaps by their local positions and becomes one output segment;
+// segments that introduce no new key are skipped outright, which is what
+// makes decomposition cost proportional to the segments holding new keys
+// instead of the row count.
+func decomposeDedup(r *colstore.Table, keys *colstore.Grouping, name string, columns, common []string, opt Options) (*colstore.Table, error) {
 	segs := r.Segments()
-	single := len(common) == 1
-	type segReps struct {
-		positions []uint64 // ascending local row positions
-		keys      []string // representative's value (or composite value key), aligned
+	offs := segmentOffsets(segs)
+	survivors := make([][]int, len(segs))
+	si := 0
+	for gi := 0; gi < keys.Len(); gi++ {
+		for si+1 < len(segs) && keys.First(gi) >= offs[si+1] {
+			si++
+		}
+		survivors[si] = append(survivors[si], gi)
 	}
-	reps := make([]segReps, len(segs))
-	opt.trace(fmt.Sprintf("distinction map: scanning %d segments independently for representatives of %v", len(segs), common))
-	if err := opt.forEachErr(len(segs), func(i int) error {
-		s := segs[i]
-		if single {
-			col, err := s.Column(common[0])
-			if err != nil {
-				return err
-			}
-			n := col.DistinctCount()
-			type rep struct {
-				pos uint64
-				v   string
-			}
-			local := make([]rep, n)
-			for id := 0; id < n; id++ {
-				p, ok := col.BitmapForID(uint32(id)).FirstOne()
-				if !ok {
-					return fmt.Errorf("evolve: column %q value id %d has an empty bitmap", common[0], id)
-				}
-				local[id] = rep{pos: p, v: col.Dict().Value(uint32(id))}
-			}
-			sort.Slice(local, func(a, b int) bool { return local[a].pos < local[b].pos })
-			sr := segReps{positions: make([]uint64, n), keys: make([]string, n)}
-			for j, rp := range local {
-				sr.positions[j] = rp.pos
-				sr.keys[j] = rp.v
-			}
-			reps[i] = sr
-			return nil
-		}
-		// Composite common attributes: one scan over the segment's rows,
-		// keyed by values rather than local ids so representatives are
-		// comparable across segments.
-		ids := make([][]uint32, len(common))
-		dicts := make([]func(uint32) string, len(common))
-		for j, cn := range common {
-			c, err := s.Column(cn)
-			if err != nil {
-				return err
-			}
-			ids[j] = c.RowIDs()
-			dicts[j] = c.Dict().Value
-		}
-		seen := make(map[string]bool, 64)
-		var sr segReps
-		var kb strings.Builder
-		for row := uint64(0); row < s.NumRows(); row++ {
-			kb.Reset()
-			for j := range ids {
-				kb.WriteString(dicts[j](ids[j][row]))
-				kb.WriteByte(0)
-			}
-			k := kb.String()
-			if !seen[k] {
-				seen[k] = true
-				sr.positions = append(sr.positions, row)
-				sr.keys = append(sr.keys, k)
-			}
-		}
-		reps[i] = sr
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Merge: globally first occurrence wins.
-	seen := make(map[string]bool, 1024)
-	survivors := make([][]uint64, len(segs))
-	keep := make([][]string, len(segs)) // surviving values, single-attribute fast path only
-	contributing := 0
-	for i := range segs {
-		for j, k := range reps[i].keys {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			survivors[i] = append(survivors[i], reps[i].positions[j])
-			if single {
-				keep[i] = append(keep[i], k)
-			}
-		}
-		if len(survivors[i]) > 0 {
-			contributing++
-		}
-	}
-	opt.trace(fmt.Sprintf("distinction merge: %d distinct %v; %d of %d segments contribute representatives", len(seen), common, contributing, len(segs)))
 
 	opt.trace(fmt.Sprintf("bitmap filtering: building %s's segments from surviving local positions", name))
 	outSegs := make([]*colstore.Segment, len(segs))
@@ -241,7 +159,7 @@ func decomposeDedup(r *colstore.Table, name string, columns, common []string, op
 		if len(survivors[i]) == 0 {
 			return nil
 		}
-		seg, err := dedupSegment(segs[i], columns, common, survivors[i], keep[i], opt)
+		seg, err := dedupSegment(segs[i], offs[i], columns, common, keys, survivors[i], opt)
 		outSegs[i] = seg
 		return err
 	}); err != nil {
@@ -256,9 +174,16 @@ func decomposeDedup(r *colstore.Table, name string, columns, common []string, op
 	return colstore.NewSegmented(name, columns, packed, common)
 }
 
-// dedupSegment filters one contributing segment down to its surviving
-// representative rows, producing one output segment.
-func dedupSegment(s *colstore.Segment, columns, common []string, positions []uint64, keyVals []string, opt Options) (*colstore.Segment, error) {
+// dedupSegment filters one segment, whose first row is global row off,
+// down to the first rows of the given groups, producing one output
+// segment. A common attribute needs no filtering: survivor rank i holds
+// group groups[i]'s value, so its bitmaps are built by ascending adds in
+// the segment's dictionary order.
+func dedupSegment(s *colstore.Segment, off uint64, columns, common []string, keys *colstore.Grouping, groups []int, opt Options) (*colstore.Segment, error) {
+	positions := make([]uint64, len(groups))
+	for i, gi := range groups {
+		positions[i] = keys.First(gi) - off
+	}
 	nrows := uint64(len(positions))
 	sb := colstore.NewSegmentBuilder(columns)
 	for ci, cn := range columns {
@@ -267,24 +192,18 @@ func dedupSegment(s *colstore.Segment, columns, common []string, positions []uin
 			return nil, err
 		}
 		n := col.DistinctCount()
-		values := make([]string, n)
+		values := col.Dict().Values()
 		bitmaps := make([]*wah.Bitmap, n)
-		if keyVals != nil && len(common) == 1 && cn == common[0] {
-			// Key-column fast path: each surviving value appears exactly
-			// once, at its representative's rank — single-bit vectors, no
-			// filtering. Values stay in local dictionary order (survivors
-			// get a bitmap, the rest are dropped by the builder).
-			for id := 0; id < n; id++ {
-				values[id] = col.Dict().Value(uint32(id))
-			}
-			for rank, v := range keyVals {
-				bm := wah.New()
-				bm.Add(uint64(rank))
-				bitmaps[col.Dict().Lookup(v)] = bm
+		if j := slices.Index(common, cn); j >= 0 {
+			for rank, gi := range groups {
+				id := col.Dict().Lookup(keys.Value(gi, j))
+				if bitmaps[id] == nil {
+					bitmaps[id] = wah.New()
+				}
+				bitmaps[id].Add(uint64(rank))
 			}
 		} else {
 			opt.forEach(n, func(id int) {
-				values[id] = col.Dict().Value(uint32(id))
 				bitmaps[id] = wah.FilterPositions(col.BitmapForID(uint32(id)), positions)
 			})
 		}
@@ -295,88 +214,18 @@ func dedupSegment(s *colstore.Segment, columns, common []string, positions []uin
 	return sb.Finish()
 }
 
-// fdHoldsSegmented reports whether the functional dependency det → dep
-// holds in t, computed segment-wise: each segment builds
-// its det-values → dep-values map locally and in parallel (value-based —
-// local dictionary ids are not comparable across segments), then the
-// merge phase checks for conflicts across segment boundaries.
-func fdHoldsSegmented(t *colstore.Table, det, dep []string, opt Options) bool {
+// fdHolds reports whether the functional dependency det → dep holds in t
+// (Property 2), given det's grouping: it does iff adding dep to det
+// splits no group, that is, iff det ∪ dep has as many groups as det.
+func fdHolds(t *colstore.Table, det *colstore.Grouping, detCols, dep []string) (bool, error) {
 	if len(dep) == 0 {
-		return true
+		return true, nil
 	}
-	segs := t.Segments()
-	maps := make([]map[string]string, len(segs))
-	if err := opt.forEachErr(len(segs), func(i int) error {
-		m, err := segFDMap(segs[i], det, dep)
-		maps[i] = m
-		return err
-	}); err != nil {
-		return false
+	g, err := colstore.Group(t, slices.Concat(detCols, dep))
+	if err != nil {
+		return false, err
 	}
-	merged := maps[0]
-	for _, m := range maps[1:] {
-		for k, v := range m {
-			if prev, ok := merged[k]; ok {
-				if prev != v {
-					return false
-				}
-			} else {
-				merged[k] = v
-			}
-		}
-	}
-	return true
-}
-
-// errFDViolated signals a within-segment functional-dependency conflict.
-var errFDViolated = errors.New("evolve: functional dependency violated")
-
-// segFDMap builds one segment's det-values → dep-values map, failing on a
-// local conflict.
-func segFDMap(s *colstore.Segment, det, dep []string) (map[string]string, error) {
-	detIDs := make([][]uint32, len(det))
-	detDicts := make([]func(uint32) string, len(det))
-	for i, cn := range det {
-		c, err := s.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		detIDs[i] = c.RowIDs()
-		detDicts[i] = c.Dict().Value
-	}
-	depIDs := make([][]uint32, len(dep))
-	depDicts := make([]func(uint32) string, len(dep))
-	for i, cn := range dep {
-		c, err := s.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		depIDs[i] = c.RowIDs()
-		depDicts[i] = c.Dict().Value
-	}
-	m := make(map[string]string, 64)
-	var kb, vb strings.Builder
-	for row := uint64(0); row < s.NumRows(); row++ {
-		kb.Reset()
-		vb.Reset()
-		for i := range detIDs {
-			kb.WriteString(detDicts[i](detIDs[i][row]))
-			kb.WriteByte(0)
-		}
-		for i := range depIDs {
-			vb.WriteString(depDicts[i](depIDs[i][row]))
-			vb.WriteByte(0)
-		}
-		k, v := kb.String(), vb.String()
-		if prev, ok := m[k]; ok {
-			if prev != v {
-				return nil, errFDViolated
-			}
-		} else {
-			m[k] = v
-		}
-	}
-	return m, nil
+	return g.Len() == det.Len(), nil
 }
 
 func intersect(a, b []string) []string {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cods/internal/colstore"
-	"cods/internal/dict"
 )
 
 // joinGroup describes one distinct join value occurring in both inputs.
@@ -27,19 +26,20 @@ type joinGroup struct {
 // layouts are emitted in ascending output position, so every per-value
 // bitmap is built by monotone compressed appends.
 //
-// Pass 1 builds the join groups per segment — each segment decodes its
-// local per-value position lists, restitched at segment offsets under a
-// union dictionary — and pass 2 reads row ids through the same remapping
-// instead of a stitched column, so no input bitmap is ever concatenated.
-// The output is inherently a reshuffle and is emitted as a single fresh
-// segment.
+// Pass 1 groups s by the join attributes and looks both inputs up
+// against those groups (colstore.Group, Grouping.Find), reading each
+// group's positions from its per-segment bitmaps at segment offsets;
+// pass 2 reads row ids through a cross-segment union dictionary instead
+// of a stitched column, so no input bitmap is ever concatenated. Join
+// values keep their order of first appearance in s. The output is
+// inherently a reshuffle and is emitted as a single fresh segment.
 func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.Table, error) {
 	common, err := commonColumns(s, t)
 	if err != nil {
 		return nil, err
 	}
-	opt.trace(fmt.Sprintf("general mergence pass 1 (map): building join groups of %v from %d+%d segments", common, s.NumSegments(), t.NumSegments()))
-	groups, err := buildJoinGroupsSegmented(s, t, common, opt)
+	opt.trace(fmt.Sprintf("general mergence pass 1: grouping %v over %d+%d segments", common, s.NumSegments(), t.NumSegments()))
+	groups, err := buildJoinGroups(s, t, common)
 	if err != nil {
 		return nil, err
 	}
@@ -134,100 +134,47 @@ func MergeGeneral(s, t *colstore.Table, outName string, opt Options) (*colstore.
 	return colstore.NewTable(outName, outCols, nil)
 }
 
-// groupComposite groups the per-row composite join keys of both inputs
-// into joinGroups, ordered by first appearance in s.
-func groupComposite(sKeys, tKeys []string) []joinGroup {
-	tIndex := make(map[string][]uint64)
-	for row, k := range tKeys {
-		tIndex[k] = append(tIndex[k], uint64(row))
+// buildJoinGroups returns, per distinct join value present in both
+// inputs, the ascending global row positions in each input, in order of
+// first appearance in s; a join value in only one input produces no
+// output rows (inner-join semantics). s is grouped by the join
+// attributes, both inputs are looked up against s's groups, and
+// positions are the group bitmaps read at segment offsets.
+func buildJoinGroups(s, t *colstore.Table, common []string) ([]joinGroup, error) {
+	keys, err := colstore.Group(s, common)
+	if err != nil {
+		return nil, err
 	}
-	sIndex := make(map[string]int)
+	sGroups, err := keys.Find(s)
+	if err != nil {
+		return nil, err
+	}
+	tGroups, err := keys.Find(t)
+	if err != nil {
+		return nil, err
+	}
+	sPos, tPos := groupPositions(s, sGroups, keys.Len()), groupPositions(t, tGroups, keys.Len())
 	var groups []joinGroup
-	for row, k := range sKeys {
-		tpos, ok := tIndex[k]
-		if !ok {
-			continue
+	for gi := range sPos {
+		if len(tPos[gi]) > 0 {
+			groups = append(groups, joinGroup{sPositions: sPos[gi], tPositions: tPos[gi]})
 		}
-		gi, seen := sIndex[k]
-		if !seen {
-			gi = len(groups)
-			sIndex[k] = gi
-			groups = append(groups, joinGroup{tPositions: tpos})
-		}
-		groups[gi].sPositions = append(groups[gi].sPositions, uint64(row))
 	}
-	return groups
+	return groups, nil
 }
 
-// buildJoinGroupsSegmented returns, per distinct join value present in
-// both inputs, the ascending row positions in each input; a join value
-// in only one input produces no output rows (inner-join semantics). For
-// a single join attribute each input's per-value global position lists
-// come from per-segment decodes restitched at segment offsets under a
-// union dictionary (valuePositions), and group order follows s's union
-// dictionary id order. Composite joins materialize per-row keys segment
-// by segment, grouped in order of first appearance in s.
-func buildJoinGroupsSegmented(s, t *colstore.Table, common []string, opt Options) ([]joinGroup, error) {
-	if len(common) == 1 {
-		sPos, sDict, err := valuePositions(s, common[0], opt)
-		if err != nil {
-			return nil, err
-		}
-		tPos, tDict, err := valuePositions(t, common[0], opt)
-		if err != nil {
-			return nil, err
-		}
-		var groups []joinGroup
-		for id := 0; id < sDict.Len(); id++ {
-			tid := tDict.Lookup(sDict.Value(uint32(id)))
-			if tid == dict.NoID {
-				continue
+// groupPositions lists each of n groups' global rows in tab, ascending,
+// from the per-segment groups of tab.
+func groupPositions(tab *colstore.Table, per []colstore.SegmentGroups, n int) [][]uint64 {
+	out := make([][]uint64, n)
+	for i, off := range segmentOffsets(tab.Segments()) {
+		for k, gi := range per[i].Groups {
+			ps := per[i].Rows[k].AppendPositionsTo(out[gi])
+			for j := len(out[gi]); j < len(ps); j++ {
+				ps[j] += off
 			}
-			groups = append(groups, joinGroup{sPositions: sPos[id], tPositions: tPos[tid]})
+			out[gi] = ps
 		}
-		return groups, nil
 	}
-	sKeys, err := compositeKeysSegmented(s, common, opt)
-	if err != nil {
-		return nil, err
-	}
-	tKeys, err := compositeKeysSegmented(t, common, opt)
-	if err != nil {
-		return nil, err
-	}
-	return groupComposite(sKeys, tKeys), nil
-}
-
-// compositeKeysSegmented materializes the composite join key of every
-// row, one segment at a time (fanned out; the keys are value-based, so
-// they compare across segments).
-func compositeKeysSegmented(t *colstore.Table, columns []string, opt Options) ([]string, error) {
-	segs := t.Segments()
-	offs := segmentOffsets(segs)
-	out := make([]string, t.NumRows())
-	if err := opt.forEachErr(len(segs), func(i int) error {
-		s := segs[i]
-		ids := make([][]uint32, len(columns))
-		dicts := make([]func(uint32) string, len(columns))
-		for j, cn := range columns {
-			c, err := s.Column(cn)
-			if err != nil {
-				return err
-			}
-			ids[j] = c.RowIDs()
-			dicts[j] = c.Dict().Value
-		}
-		off := offs[i]
-		for row := uint64(0); row < s.NumRows(); row++ {
-			k := ""
-			for j := range ids {
-				k += dicts[j](ids[j][row]) + "\x00"
-			}
-			out[off+row] = k
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }

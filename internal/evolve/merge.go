@@ -3,6 +3,8 @@ package evolve
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"cods/internal/colstore"
@@ -49,32 +51,55 @@ func Merge(s, t *colstore.Table, outName string, opt Options) (*MergeResult, err
 // integrity); a dangling reference is an error rather than a silent row
 // drop, because dropped rows would make the fact columns non-reusable.
 //
-// The map phase handles one fact segment at a time: its columns are
-// adopted verbatim (zero copy, even on multi-segment fact tables) and the
-// dimension's non-key columns are generated from the segment's local key
-// bitmaps. The merge phase is the dimension-side preparation shared by
-// all map tasks: the key → row index and a cross-segment union dictionary
-// per generated column (RemapInto). One output segment per fact segment,
-// so the output keeps the fact side's row order.
+// The dimension is grouped once by the common attributes: that one pass
+// is both the key test (one group per row) and the row index (each
+// group's first row is its dimension row). The map phase handles one fact
+// segment at a time: its columns are adopted verbatim (zero copy, even on
+// multi-segment fact tables), its rows are looked up against the
+// dimension's groups, and each non-key dimension column is generated as
+// OR combinations of the segment's group bitmaps. The dimension's
+// generated columns share a cross-segment union dictionary each
+// (RemapInto). One output segment per fact segment, so the output keeps
+// the fact side's row order.
 func MergeKeyFK(s, t *colstore.Table, outName string, opt Options) (*MergeResult, error) {
 	common, err := commonColumns(s, t)
 	if err != nil {
 		return nil, err
 	}
 	fact, dim := s, t
-	if !keyedBySegmented(t, common) {
-		if !keyedBySegmented(s, common) {
-			return nil, fmt.Errorf("%w (common: %v)", ErrNotKeyFK, common)
-		}
+	keys, err := keyGrouping(dim, common)
+	if err == nil && keys == nil {
 		fact, dim = t, s
+		keys, err = keyGrouping(dim, common)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if keys == nil {
+		return nil, fmt.Errorf("%w (common: %v)", ErrNotKeyFK, common)
 	}
 	factSegs := fact.Segments()
 	opt.trace(fmt.Sprintf("mergence map: %d fact segments of %s adopt their columns unchanged; %s's non-key columns generated per segment", len(factSegs), fact.Name(), dim.Name()))
 
-	dimIndex, err := segRowIndex(dim, common)
+	groups, err := keys.Find(fact)
 	if err != nil {
 		return nil, err
 	}
+	for i, off := range segmentOffsets(factSegs) {
+		if groups[i].Miss < 0 {
+			continue
+		}
+		row, err := fact.Row(off + uint64(groups[i].Miss))
+		if err != nil {
+			return nil, err
+		}
+		vals := make([]string, len(common))
+		for j, cn := range common {
+			vals[j] = strconv.Quote(row[slices.Index(fact.ColumnNames(), cn)])
+		}
+		return nil, fmt.Errorf("evolve: foreign-key violation: %s value %s of %s has no match in %s", strings.Join(common, ", "), strings.Join(vals, ", "), fact.Name(), dim.Name())
+	}
+
 	gen := minus(dim.ColumnNames(), common)
 	genIDs := make([][]uint32, len(gen))
 	genDicts := make([]*dict.Dict, len(gen))
@@ -89,7 +114,7 @@ func MergeKeyFK(s, t *colstore.Table, outName string, opt Options) (*MergeResult
 
 	outSegs := make([]*colstore.Segment, len(factSegs))
 	if err := opt.forEachErr(len(factSegs), func(i int) error {
-		seg, err := mergeKeyFKSegment(factSegs[i], fact.Name(), dim.Name(), schema, common, gen, genIDs, genDicts, dimIndex, opt)
+		seg, err := mergeKeyFKSegment(factSegs[i], groups[i], keys, schema, gen, genIDs, genDicts, opt)
 		outSegs[i] = seg
 		return err
 	}); err != nil {
@@ -102,11 +127,14 @@ func MergeKeyFK(s, t *colstore.Table, outName string, opt Options) (*MergeResult
 	return &MergeResult{Table: out, Reused: fact.Name()}, nil
 }
 
-// factGroup associates the bitmap of all fact rows sharing one key value
-// with the dimension row holding that key.
-type factGroup struct {
-	factBitmap *wah.Bitmap
-	dimRow     uint64
+// keyGrouping groups t by columns, returning nil when they are not a key
+// of t, that is, when some group holds more than one row.
+func keyGrouping(t *colstore.Table, columns []string) (*colstore.Grouping, error) {
+	g, err := colstore.Group(t, columns)
+	if err != nil || uint64(g.Len()) != t.NumRows() {
+		return nil, err
+	}
+	return g, nil
 }
 
 func commonColumns(s, t *colstore.Table) ([]string, error) {
@@ -117,15 +145,11 @@ func commonColumns(s, t *colstore.Table) ([]string, error) {
 	return common, nil
 }
 
-// mergeKeyFKSegment builds one output segment from one fact segment: the
-// fact columns are shared verbatim and each generated dimension column is
-// the OR-combination of this segment's local key bitmaps, grouped by the
-// dimension value they join to.
-func mergeKeyFKSegment(fs *colstore.Segment, factName, dimName string, schema, common, gen []string, genIDs [][]uint32, genDicts []*dict.Dict, dimIndex map[string]uint64, opt Options) (*colstore.Segment, error) {
-	groups, err := localFactGroups(fs, factName, dimName, common, dimIndex)
-	if err != nil {
-		return nil, err
-	}
+// mergeKeyFKSegment builds one output segment from one fact segment and
+// its dimension groups: the fact columns are shared verbatim and each
+// generated dimension column is the OR-combination of the segment's
+// group bitmaps, grouped by the dimension value they join to.
+func mergeKeyFKSegment(fs *colstore.Segment, groups colstore.SegmentGroups, keys *colstore.Grouping, schema, gen []string, genIDs [][]uint32, genDicts []*dict.Dict, opt Options) (*colstore.Segment, error) {
 	sb := colstore.NewSegmentBuilder(schema)
 	for ci := 0; ci < fs.NumColumns(); ci++ {
 		if err := sb.SetShared(ci, fs.ColumnAt(ci)); err != nil {
@@ -135,14 +159,12 @@ func mergeKeyFKSegment(fs *colstore.Segment, factName, dimName string, schema, c
 	for gi := range gen {
 		d, ids := genDicts[gi], genIDs[gi]
 		grouped := make([][]*wah.Bitmap, d.Len())
-		for _, g := range groups {
-			u := ids[g.dimRow]
-			grouped[u] = append(grouped[u], g.factBitmap)
+		for k, g := range groups.Groups {
+			u := ids[keys.First(g)]
+			grouped[u] = append(grouped[u], groups.Rows[k])
 		}
-		values := make([]string, d.Len())
 		bitmaps := make([]*wah.Bitmap, d.Len())
 		opt.forEach(d.Len(), func(u int) {
-			values[u] = d.Value(uint32(u))
 			if len(grouped[u]) == 0 {
 				return
 			}
@@ -150,68 +172,9 @@ func mergeKeyFKSegment(fs *colstore.Segment, factName, dimName string, schema, c
 			bm.Extend(fs.NumRows())
 			bitmaps[u] = bm
 		})
-		if err := sb.SetFromBitmaps(fs.NumColumns()+gi, values, bitmaps, fs.NumRows()); err != nil {
+		if err := sb.SetFromBitmaps(fs.NumColumns()+gi, d.Values(), bitmaps, fs.NumRows()); err != nil {
 			return nil, err
 		}
 	}
 	return sb.Finish()
-}
-
-// localFactGroups builds one factGroup per referenced dimension row from
-// a single fact segment: factBitmap positions are segment-local, dimRow
-// is global. A fact value missing from the dimension index is a
-// foreign-key violation.
-func localFactGroups(fs *colstore.Segment, factName, dimName string, common []string, dimIndex map[string]uint64) ([]factGroup, error) {
-	if len(common) == 1 {
-		factKey, err := fs.Column(common[0])
-		if err != nil {
-			return nil, err
-		}
-		groups := make([]factGroup, factKey.DistinctCount())
-		for id := 0; id < factKey.DistinctCount(); id++ {
-			value := factKey.Dict().Value(uint32(id))
-			dimRow, ok := dimIndex[value+"\x00"]
-			if !ok {
-				return nil, fmt.Errorf("evolve: foreign-key violation: %s value %q of %s has no match in %s", common[0], value, factName, dimName)
-			}
-			groups[id] = factGroup{factBitmap: factKey.BitmapForID(uint32(id)), dimRow: dimRow}
-		}
-		return groups, nil
-	}
-	ids := make([][]uint32, len(common))
-	dicts := make([]func(uint32) string, len(common))
-	for i, cn := range common {
-		c, err := fs.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = c.RowIDs()
-		dicts[i] = c.Dict().Value
-	}
-	builders := make(map[uint64]*wah.Bitmap)
-	var order []uint64
-	var kb strings.Builder
-	for row := uint64(0); row < fs.NumRows(); row++ {
-		kb.Reset()
-		for i := range ids {
-			kb.WriteString(dicts[i](ids[i][row]))
-			kb.WriteByte(0)
-		}
-		dimRow, ok := dimIndex[kb.String()]
-		if !ok {
-			return nil, fmt.Errorf("evolve: foreign-key violation: %s row %d has no match in %s on %v", factName, row, dimName, common)
-		}
-		bm := builders[dimRow]
-		if bm == nil {
-			bm = wah.New()
-			builders[dimRow] = bm
-			order = append(order, dimRow)
-		}
-		bm.Add(row)
-	}
-	groups := make([]factGroup, 0, len(order))
-	for _, dr := range order {
-		groups = append(groups, factGroup{factBitmap: builders[dr], dimRow: dr})
-	}
-	return groups, nil
 }

@@ -11,16 +11,18 @@
 // construction) on the inputs' bitmaps.
 //
 // Since the base storage became a list of immutable segments, every
-// operator runs segment-wise by default: a map phase works on one
-// segment's local dictionaries and bitmaps (distinction, bitmap
-// filtering, join-group builds) and a merge phase combines the
-// per-segment results (global dictionary union with id remapping via
-// colstore's RemapInto kernel, offset restitching of row positions,
-// FD/key re-validation across segment boundaries). Operators emit one
+// operator runs segment-wise: each output segment is built from one input
+// segment's local dictionaries and bitmaps (bitmap filtering, OR
+// combination, shared columns), and what must be decided across segment
+// boundaries goes through colstore's two cross-segment kernels. Every
+// grouping of rows by key values (distinction, the functional-dependency
+// and key tests, both mergences' join keys) is one colstore.Group, which
+// identifies a group by its tuple of union-dictionary value ids, never by
+// joined value strings; and the one decode of a non-key column re-keys its
+// local ids under a union dictionary (RemapInto). Operators emit one
 // output segment per contributing input segment, so evolution cost is
 // proportional to the segments that actually change, not the logical row
-// count. On a one-segment table the map phase is the whole algorithm, so
-// there is no separate monolithic path.
+// count. On a one-segment table there is no separate monolithic path.
 package evolve
 
 import (

@@ -260,6 +260,31 @@ func TestMergeKeyFKSegmentedForeignKeyViolationParity(t *testing.T) {
 	}
 }
 
+// TestMergeKeyFKCompositeViolationNamesValues pins the composite
+// foreign-key error: the fact's only orphan is global row 10, the first
+// row of its second segment, and the error names its value tuple rather
+// than a segment-local row number.
+func TestMergeKeyFKCompositeViolationNamesValues(t *testing.T) {
+	dim := buildTable(t, "D", []string{"K1", "K2", "X"}, []string{"K1", "K2"}, [][]string{
+		{"a", "b", "x1"}, {"a", "c", "x2"},
+	})
+	var clean [][]string
+	for i := 0; i < 10; i++ {
+		clean = append(clean, []string{"a", []string{"b", "c"}[i%2], fmt.Sprint(i)})
+	}
+	fact := buildSegmentedTable(t, "F", []string{"K1", "K2", "Y"}, nil, [][][]string{
+		clean,
+		{{"zz", "b", "orphan"}},
+	})
+	_, err := MergeKeyFK(fact, dim, "R", Options{})
+	if err == nil || !strings.Contains(err.Error(), "foreign-key violation") || !strings.Contains(err.Error(), `"zz", "b"`) {
+		t.Fatalf("dangling composite foreign key: err = %v, want a foreign-key violation naming (\"zz\", \"b\")", err)
+	}
+	if strings.Contains(err.Error(), "row 0") {
+		t.Fatalf("error names a segment-local row: %v", err)
+	}
+}
+
 func TestMergeKeyFKSegmentedCompositeKey(t *testing.T) {
 	dim := buildSegmentedTable(t, "D", []string{"A", "B", "X"}, []string{"A", "B"}, [][][]string{
 		{{"a1", "b1", "x1"}, {"a1", "b2", "x2"}},

@@ -32,6 +32,12 @@
 #    engine included) may declare Parallelism or SegmentMergeRatio,
 #    and the serial/bounded twins (expr EvalP, colstore FilterRowsP and
 #    ScanWhereP, csvio LoadP and ReadP) may not come back.
+# 9. One key-grouping kernel: rows are grouped by tuples of dictionary
+#    ids (colstore.Group), never by value strings joined with NUL bytes,
+#    which collide as soon as a value contains one. A NUL-joined key
+#    ("\x00" or WriteByte(0)) in non-test Go in internal/evolve, or a
+#    WriteByte(0) key in non-test Go in internal/colstore, fails the
+#    check.
 #
 # Run from the repository root (CI's docs-lint step, `make docs-lint`).
 set -u
@@ -195,5 +201,27 @@ if [ -n "$viol" ]; then
     fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "docslint: all packages documented, codsbench and make, flag, grammar, and codslint docs consistent, one read path, no pool-size knob"
+# One key-grouping kernel: no NUL-joined row keys in evolve or colstore.
+why="group rows with colstore.Group, whose keys are dictionary-id tuples"
+viol=$(
+    {
+        for f in internal/evolve/*.go; do
+            case "$f" in *_test.go) continue ;; esac
+            grep -nE 'WriteByte\(0\)|\\x00' "$f" | sed "s|^|$f:|"
+        done
+        for f in internal/colstore/*.go; do
+            case "$f" in *_test.go) continue ;; esac
+            grep -n 'WriteByte(0)' "$f" | sed "s|^|$f:|"
+        done
+    } |
+    while IFS=: read -r file line _; do
+        echo "docslint: $file:$line: NUL-joined row key; $why"
+    done
+)
+if [ -n "$viol" ]; then
+    echo "$viol"
+    fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "docslint: all packages documented, codsbench and make, flag, grammar, and codslint docs consistent, one read path, no pool-size knob, one key-grouping kernel"
 exit $fail

@@ -34,10 +34,47 @@ func TestSegmentedFlushPropertyVsRowModel(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runSegProp(t, seed, 140)
+			runSegProp(t, seed, 140, segShape{})
 		})
 	}
 }
+
+// TestSegmentedCompositeKeyPropertyVsRowModel is the same property test
+// on a table keyed by (K, J): DECOMPOSE splits on the composite common
+// part (K, J), key–foreign-key MERGE joins back on it, and inserts reuse
+// a K under the other J, so K alone is not a key and every grouping
+// decision must look at both columns.
+func TestSegmentedCompositeKeyPropertyVsRowModel(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runSegProp(t, seed, 140, segShape{composite: true})
+		})
+	}
+}
+
+// segShape picks T's schema: K, G, V keyed by K, or, when composite,
+// K, J, G, V keyed by (K, J), where J is j0 or j1.
+type segShape struct{ composite bool }
+
+// key lists T's key columns, which are also DECOMPOSE's common part.
+func (sh segShape) key() []string {
+	if sh.composite {
+		return []string{"K", "J"}
+	}
+	return []string{"K"}
+}
+
+// row builds a row over the key columns followed by rest.
+func (sh segShape) row(k, j string, rest ...string) []string {
+	if sh.composite {
+		return append([]string{k, j}, rest...)
+	}
+	return append([]string{k}, rest...)
+}
+
+// cols lists the key columns followed by rest.
+func (sh segShape) cols(rest ...string) []string { return append(sh.key(), rest...) }
 
 // segStmt is one statement of a run: the text the engine executes (empty
 // for a DB.Compact call) and the same statement applied to the model.
@@ -75,16 +112,16 @@ func updateStmt(table, col, val string, c cond) segStmt {
 	}
 }
 
-func runSegProp(t *testing.T, seed int64, nops int) {
+func runSegProp(t *testing.T, seed int64, nops int, sh segShape) {
 	const autoCompact = 16
 	db := cods.Open(cods.Config{AutoCompactPending: autoCompact, RetainVersions: 8})
 	m := &rowModel{tables: make(map[string]*modelTable), autoCompact: autoCompact}
 
 	seedRows := make([][]string, 20)
 	for i := range seedRows {
-		seedRows[i] = []string{fmt.Sprintf("k%04d", i), fmt.Sprintf("g%d", i%4), fmt.Sprintf("v%d", i%6)}
+		seedRows[i] = sh.row(fmt.Sprintf("k%04d", i), fmt.Sprintf("j%d", i%2), fmt.Sprintf("g%d", i%4), fmt.Sprintf("v%d", i%6))
 	}
-	cols, key := []string{"K", "G", "V"}, []string{"K"}
+	cols, key := sh.cols("G", "V"), sh.key()
 	if err := db.CreateTableFromRows("T", cols, key, seedRows); err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +130,8 @@ func runSegProp(t *testing.T, seed int64, nops int) {
 	rng := rand.New(rand.NewSource(seed))
 	nextKey := 20
 	kv := func(k int) string { return fmt.Sprintf("k%04d", k) }
-	// T cycles through three shapes: whole, decomposed into A (K, G) and
-	// B (K, V), or partitioned into P1/P2 by a G predicate. DML routes to
+	// T cycles through three shapes: whole, decomposed into A (key, G) and
+	// B (key, V), or partitioned into P1/P2 by a G predicate. DML routes to
 	// whichever tables currently exist.
 	decomposed := false
 	partitioned := false
@@ -111,13 +148,14 @@ func runSegProp(t *testing.T, seed int64, nops int) {
 			} else {
 				nextKey++
 			}
+			j := fmt.Sprintf("j%d", rng.Intn(2))
 			g := fmt.Sprintf("g%d", rng.Intn(4))
 			v := fmt.Sprintf("v%d", rng.Intn(6))
 			switch {
 			case decomposed:
 				// Keep the decomposition join-compatible: the same key
 				// lands in both halves.
-				stmts = []segStmt{insertStmt("A", kv(k), g), insertStmt("B", kv(k), v)}
+				stmts = []segStmt{insertStmt("A", sh.row(kv(k), j, g)...), insertStmt("B", sh.row(kv(k), j, v)...)}
 			case partitioned:
 				// Respect the partition predicate: the row goes to the
 				// half its G group belongs to.
@@ -125,9 +163,9 @@ func runSegProp(t *testing.T, seed int64, nops int) {
 				if g == fmt.Sprintf("g%d", partG) {
 					target = "P2"
 				}
-				stmts = []segStmt{insertStmt(target, kv(k), g, v)}
+				stmts = []segStmt{insertStmt(target, sh.row(kv(k), j, g, v)...)}
 			default:
-				stmts = []segStmt{insertStmt("T", kv(k), g, v)}
+				stmts = []segStmt{insertStmt("T", sh.row(kv(k), j, g, v)...)}
 			}
 		case r < 45:
 			v, k := fmt.Sprintf("v%d", rng.Intn(6)), kv(rng.Intn(nextKey))
@@ -171,9 +209,9 @@ func runSegProp(t *testing.T, seed int64, nops int) {
 					func(m *rowModel) error { return m.partition("T", c, "P1", "P2") }}}
 			default:
 				evolve = "decomposed"
-				stmts = []segStmt{{"DECOMPOSE TABLE T INTO A (K, G), B (K, V)", func(m *rowModel) error {
-					return m.decompose("T", "A", []string{"K", "G"}, "B", []string{"K", "V"})
-				}}}
+				a, b := sh.cols("G"), sh.cols("V")
+				stmts = []segStmt{{fmt.Sprintf("DECOMPOSE TABLE T INTO A (%s), B (%s)", strings.Join(a, ", "), strings.Join(b, ", ")),
+					func(m *rowModel) error { return m.decompose("T", "A", a, "B", b) }}}
 			}
 		case r < 95:
 			src := "T"
@@ -210,7 +248,7 @@ func runSegProp(t *testing.T, seed int64, nops int) {
 				continue
 			}
 			if evolve == "decomposed" {
-				checkDecomposeJoinOracle(t, step, db, preDecompose)
+				checkDecomposeJoinOracle(t, step, db, cols, len(key), preDecompose)
 			}
 			switch {
 			case evolve != "":
@@ -277,23 +315,26 @@ func updateTargets(decomposed, partitioned bool) []string {
 }
 
 // checkDecomposeJoinOracle asserts the evolution oracle right after a
-// DECOMPOSE lands: SELECT joining the outputs on the shared key must be
-// byte-identical — row set and aggregate results — to the
-// pre-DECOMPOSE table. The equivalence is the lossless-join guarantee,
-// so it only holds when the decomposition's FDs did: with a duplicate key
-// in T the join legitimately fans out, and the check skips.
-func checkDecomposeJoinOracle(t *testing.T, step int, db *cods.DB, pre [][]string) {
+// DECOMPOSE lands: SELECT joining the outputs on the shared key (T's
+// first nkey columns) must be byte-identical — row set and aggregate
+// results — to the pre-DECOMPOSE table over cols. The equivalence is the
+// lossless-join guarantee, so it only holds when the decomposition's FDs
+// did: with a duplicate key in T the join legitimately fans out, and the
+// check skips.
+func checkDecomposeJoinOracle(t *testing.T, step int, db *cods.DB, cols []string, nkey int, pre [][]string) {
 	t.Helper()
 	seen := make(map[string]bool, len(pre))
 	distinctG := make(map[string]bool)
+	gi := slices.Index(cols, "G")
 	for _, r := range pre {
-		if seen[r[0]] {
+		k := fmt.Sprintf("%q", r[:nkey])
+		if seen[k] {
 			return // duplicate key: decomposition was lossy by design
 		}
-		seen[r[0]] = true
-		distinctG[r[1]] = true
+		seen[k] = true
+		distinctG[r[gi]] = true
 	}
-	rs, err := db.Select("SELECT K, G, V FROM A JOIN B ON (K)")
+	rs, err := db.Select(fmt.Sprintf("SELECT %s FROM A JOIN B ON (%s)", strings.Join(cols, ", "), strings.Join(cols[:nkey], ", ")))
 	if err != nil {
 		t.Fatalf("step %d: join over decomposed outputs: %v", step, err)
 	}
@@ -301,7 +342,7 @@ func checkDecomposeJoinOracle(t *testing.T, step int, db *cods.DB, pre [][]strin
 		t.Fatalf("step %d: A⋈B (%d rows) diverged from pre-DECOMPOSE T (%d rows)",
 			step, len(got), len(want))
 	}
-	ag, err := db.Select("SELECT count(*), count_distinct(G) FROM A JOIN B ON (K)")
+	ag, err := db.Select(fmt.Sprintf("SELECT count(*), count_distinct(G) FROM A JOIN B ON (%s)", strings.Join(cols[:nkey], ", ")))
 	if err != nil {
 		t.Fatalf("step %d: aggregates over decomposed outputs: %v", step, err)
 	}
